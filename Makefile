@@ -25,18 +25,21 @@ check: check-tests bench-compare bench-warm bench-serve bench-cold
 # over the worker pool and singleflight layers (their concurrency tests
 # are the dedup/arena safety gate) and over the observatory (its
 # collector takes concurrent Note/MetricsInto reads during fleet runs),
-# an explicit non-race pass over the zero-alloc gates
+# an explicit non-race pass over the allocation gates
 # (TestEngineSteadyStateZeroAllocs, TestPacketPathZeroAllocs,
-# TestObservatoryDisabledZeroAlloc, TestServeTraceDisabledZeroAlloc) so
-# the allocation-free hot-path, disabled-observatory, and
-# disabled-query-trace properties are enforced by name under the plain
-# runtime, and a 1x smoke pass over the engine benchmarks so a compile
-# break in the hot-path benches fails CI.
+# TestTranslateZeroAllocs, TestRxDMAChainZeroAllocs,
+# TestDESPointAllocBudget, TestObservatoryDisabledZeroAlloc,
+# TestServeTraceDisabledZeroAlloc) so the allocation-free hot-path,
+# bounded-DES-point, disabled-observatory, and disabled-query-trace
+# properties are enforced by name under the plain runtime, and a 1x
+# smoke pass over the engine benchmarks so a compile break in the
+# hot-path benches fails CI.
 check-tests:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 20m ./...
 	$(GO) test -race -count=2 ./internal/runner/ ./internal/runcache/ ./internal/observatory/
-	$(GO) test -run 'ZeroAllocs' -count=1 ./internal/sim/ ./internal/pkt/
+	$(GO) test -run 'ZeroAllocs' -count=1 ./internal/sim/ ./internal/pkt/ ./internal/iommu/ ./internal/nic/
+	$(GO) test -run 'TestDESPointAllocBudget' -count=1 ./internal/core/
 	$(GO) test -run 'TestObservatoryDisabledZeroAlloc' -count=1 ./internal/observatory/
 	$(GO) test -run 'TestServeTraceDisabledZeroAlloc' -count=1 ./internal/serve/
 	$(GO) test -run=NONE -bench=BenchmarkEngine -benchtime=1x ./internal/sim/

@@ -137,8 +137,14 @@ func compareReports(oldRep, newRep report, tol float64) cmpResult {
 		c.exactMax("packet_path.pooled.bytes_per_op", oldRep.PacketPath.Pooled.BytesPerOp, newRep.PacketPath.Pooled.BytesPerOp)
 	}
 
-	// Whole-simulator throughput on the fig6 point.
+	// Whole-simulator throughput on the fig6 point; its allocation
+	// counts are near-exact-class like the warm point's (one point,
+	// deterministic but for runtime bookkeeping noise).
 	c.higherBetter("fig6_scenario.events_per_sec", oldRep.Fig6.EventsPerSec, newRep.Fig6.EventsPerSec, tol)
+	if !c.skipNote("fig6_scenario.allocs_per_op", float64(oldRep.Fig6.AllocsPerOp), float64(newRep.Fig6.AllocsPerOp)) {
+		c.nearExactMax("fig6_scenario.allocs_per_op", oldRep.Fig6.AllocsPerOp, newRep.Fig6.AllocsPerOp)
+		c.nearExactMax("fig6_scenario.bytes_per_op", oldRep.Fig6.BytesPerOp, newRep.Fig6.BytesPerOp)
+	}
 
 	// Observatory overhead: the sampler-on fig6 run must not slow down
 	// beyond tolerance (a baseline predating the observatory section

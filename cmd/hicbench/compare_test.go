@@ -14,6 +14,8 @@ func baseline() report {
 	r.Engine.New = benchResult{NsPerOp: 140, AllocsPerOp: 0, BytesPerOp: 0}
 	r.PacketPath.Pooled = benchResult{NsPerOp: 24, AllocsPerOp: 0, BytesPerOp: 0}
 	r.Fig6.EventsPerSec = 40e6
+	r.Fig6.AllocsPerOp = 8000
+	r.Fig6.BytesPerOp = 1 << 20
 	r.Observatory.SamplerOnEventsPerSec = 38e6
 	r.Fleet.Hosts = 10000
 	r.Fleet.HostsPerSec = 90
@@ -108,6 +110,35 @@ func TestCompareAllocationsAreExact(t *testing.T) {
 		if !strings.Contains(f, "exact-class") {
 			t.Errorf("failure %q not marked exact-class", f)
 		}
+	}
+}
+
+func TestCompareFig6AllocationsAreNearExact(t *testing.T) {
+	// Runtime bookkeeping noise under the 0.1% floor passes.
+	noisy := baseline()
+	noisy.Fig6.AllocsPerOp += 5
+	noisy.Fig6.BytesPerOp += 512
+	if res := compareReports(baseline(), noisy, 100.0); len(res.fails) != 0 {
+		t.Errorf("sub-floor noise failed: %v", res.fails)
+	}
+	// A per-packet allocation creeping back in fails at any tolerance.
+	leaky := baseline()
+	leaky.Fig6.AllocsPerOp *= 2
+	leaky.Fig6.BytesPerOp *= 2
+	res := compareReports(baseline(), leaky, 100.0)
+	if len(res.fails) != 2 {
+		t.Fatalf("fails = %v, want allocs and bytes", res.fails)
+	}
+	for _, f := range res.fails {
+		if !strings.Contains(f, "fig6_scenario") || !strings.Contains(f, "near-exact") {
+			t.Errorf("failure %q not a near-exact fig6_scenario gate", f)
+		}
+	}
+	// A baseline predating the fields reads as skipped, not failed.
+	old := baseline()
+	old.Fig6.AllocsPerOp, old.Fig6.BytesPerOp = 0, 0
+	if res := compareReports(old, baseline(), 0.25); len(res.fails) != 0 {
+		t.Errorf("baseline without fig6 allocations failed: %v", res.fails)
 	}
 }
 

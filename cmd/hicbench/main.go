@@ -11,7 +11,8 @@
 //   - packet_path: one full pooled packet lifetime vs heap allocation;
 //   - fig6_scenario: the paper's Figure 6 memory-antagonist point run
 //     end to end, reporting wall-clock and simulated events/sec (the
-//     whole-simulator number the microbenchmarks feed into);
+//     whole-simulator number the microbenchmarks feed into) and the
+//     point's heap allocations, build included;
 //   - fleet: a Figure 1 fleet on the pooled worker runner with
 //     singleflight dedup versus the pre-pool goroutine-per-host
 //     baseline, reporting hosts/sec, dedup rate, and peak memory;
@@ -142,18 +143,24 @@ func packetPathWorkload(b *testing.B) {
 }
 
 // fig6Scenario runs the Figure 6 memory-antagonist point end to end and
-// reports whole-simulator throughput in events per second.
+// reports whole-simulator throughput in events per second, plus the
+// point's heap allocations (testbed build and run; the measurement
+// stays outside the timed run).
 type fig6Scenario struct {
 	WallSeconds  float64 `json:"wall_seconds"`
 	Events       uint64  `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	AppGbps      float64 `json:"app_throughput_gbps"`
+	AllocsPerOp  int64   `json:"allocs_per_op"`
+	BytesPerOp   int64   `json:"bytes_per_op"`
 }
 
 func runFig6() (fig6Scenario, error) {
 	p := core.DefaultParams(12)
 	p.AntagonistCores = 8
 	p.Warmup, p.Measure = 4*sim.Millisecond, 6*sim.Millisecond
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	tb, err := p.Build()
 	if err != nil {
 		return fig6Scenario{}, err
@@ -161,12 +168,15 @@ func runFig6() (fig6Scenario, error) {
 	start := time.Now()
 	res := tb.Run(p.Warmup, p.Measure)
 	wall := time.Since(start).Seconds()
+	runtime.ReadMemStats(&m1)
 	ev := tb.Engine.Processed()
 	return fig6Scenario{
 		WallSeconds:  wall,
 		Events:       ev,
 		EventsPerSec: float64(ev) / wall,
 		AppGbps:      res.AppThroughputGbps,
+		AllocsPerOp:  int64(m1.Mallocs - m0.Mallocs),
+		BytesPerOp:   int64(m1.TotalAlloc - m0.TotalAlloc),
 	}, nil
 }
 

@@ -75,8 +75,8 @@ type Pool struct {
 	cfg    Config
 	done   func(*pkt.Packet)
 
-	queues [][]*pkt.Packet
-	busy   []bool
+	queues []sim.FIFO[*pkt.Packet]
+	cores  []coreState
 	active int // cores currently allocated to packet processing
 
 	epochPayload uint64 // payload bytes processed in the current epoch
@@ -102,16 +102,33 @@ func New(engine *sim.Engine, reg *metrics.Registry, memory *mem.Controller,
 		memory:    memory,
 		cfg:       cfg,
 		done:      done,
-		queues:    make([][]*pkt.Packet, cfg.Cores),
-		busy:      make([]bool, cfg.Cores),
+		queues:    make([]sim.FIFO[*pkt.Packet], cfg.Cores),
+		cores:     make([]coreState, cfg.Cores),
 		active:    cfg.Cores,
 		processed: reg.Counter("cpu.packets"),
 		payload:   reg.Counter("cpu.payload.bytes"),
 		queueGa:   reg.Gauge("cpu.queue.packets"),
 		procDelay: reg.Histogram("cpu.processing.delay.ns"),
 	}
+	for i := range p.cores {
+		c := &p.cores[i]
+		c.pool, c.idx = p, i
+		c.doneFn = c.finish
+	}
 	engine.Every(cfg.DemandEpoch, p.updateDemand)
 	return p, nil
+}
+
+// coreState is one core's packet in service. A core processes one
+// packet at a time, so its completion continuation is bound once at
+// construction and the per-packet service event allocates nothing.
+type coreState struct {
+	pool   *Pool
+	idx    int
+	busy   bool
+	packet *pkt.Packet
+	start  sim.Time
+	doneFn func()
 }
 
 // Cores returns the number of cores in the pool.
@@ -137,12 +154,12 @@ func (p *Pool) SetActiveCores(n int) {
 		return
 	}
 	for core := n; core < old; core++ {
-		for _, packet := range p.queues[core] {
+		for p.queues[core].Len() > 0 {
+			packet := p.queues[core].Pop()
 			target := packet.Queue % p.active
-			p.queues[target] = append(p.queues[target], packet)
+			p.queues[target].Push(packet)
 			p.run(target)
 		}
-		p.queues[core] = nil
 	}
 }
 
@@ -164,43 +181,49 @@ func (p *Pool) packetCost(payloadBytes int) sim.Duration {
 // Enqueue hands a DMA-completed packet to its core's run queue.
 func (p *Pool) Enqueue(packet *pkt.Packet) {
 	core := packet.Queue % p.active
-	p.queues[core] = append(p.queues[core], packet)
+	p.queues[core].Push(packet)
 	p.queueGa.Add(1)
 	p.run(core)
 }
 
 func (p *Pool) run(core int) {
-	if p.busy[core] || len(p.queues[core]) == 0 {
+	c := &p.cores[core]
+	if c.busy || p.queues[core].Len() == 0 {
 		return
 	}
-	p.busy[core] = true
-	packet := p.queues[core][0]
-	p.queues[core] = p.queues[core][1:]
+	c.busy = true
+	packet := p.queues[core].Pop()
 	p.queueGa.Add(-1)
 	cost := p.packetCost(packet.PayloadBytes)
-	start := p.engine.Now()
+	c.packet = packet
+	c.start = p.engine.Now()
 	if packet.Span != nil {
-		packet.Span.Advance(telemetry.StageCPUQueue, start,
+		packet.Span.Advance(telemetry.StageCPUQueue, c.start,
 			telemetry.Attr{Key: "core", Value: float64(core)},
-			telemetry.Attr{Key: "queued_behind", Value: float64(len(p.queues[core]))})
+			telemetry.Attr{Key: "queued_behind", Value: float64(p.queues[core].Len())})
 	}
-	p.engine.After(cost, func() {
-		p.busy[core] = false
-		p.processed.Inc()
-		p.payload.Add(uint64(packet.PayloadBytes))
-		p.epochPayload += uint64(packet.PayloadBytes)
-		p.procDelay.Observe(float64(p.engine.Now().Sub(start)))
-		// Host delay as the congestion control sees it: NIC arrival to
-		// application-visible delivery, including this core's queue.
-		packet.Delivered = p.engine.Now()
-		packet.EchoHostDelay = packet.Delivered.Sub(packet.NICArrival)
-		if packet.Span != nil {
-			packet.Span.Advance(telemetry.StageCPUProcess, packet.Delivered)
-			packet.Span.Finish(packet.Delivered)
-		}
-		p.done(packet)
-		p.run(core)
-	})
+	p.engine.After(cost, c.doneFn)
+}
+
+// finish completes the core's packet in service and starts its next.
+func (c *coreState) finish() {
+	p, packet := c.pool, c.packet
+	c.busy = false
+	c.packet = nil
+	p.processed.Inc()
+	p.payload.Add(uint64(packet.PayloadBytes))
+	p.epochPayload += uint64(packet.PayloadBytes)
+	p.procDelay.Observe(float64(p.engine.Now().Sub(c.start)))
+	// Host delay as the congestion control sees it: NIC arrival to
+	// application-visible delivery, including this core's queue.
+	packet.Delivered = p.engine.Now()
+	packet.EchoHostDelay = packet.Delivered.Sub(packet.NICArrival)
+	if packet.Span != nil {
+		packet.Span.Advance(telemetry.StageCPUProcess, packet.Delivered)
+		packet.Span.Finish(packet.Delivered)
+	}
+	p.done(packet)
+	p.run(c.idx)
 }
 
 // updateDemand folds the copy traffic of the last epoch into the memory
@@ -217,8 +240,8 @@ func (p *Pool) updateDemand() {
 // QueuedPackets returns the total packets waiting across all cores.
 func (p *Pool) QueuedPackets() int {
 	total := 0
-	for _, q := range p.queues {
-		total += len(q)
+	for i := range p.queues {
+		total += p.queues[i].Len()
 	}
 	return total
 }

@@ -73,6 +73,13 @@ type Network struct {
 	portBusy   sim.Time   // receiver-facing switch port
 	portQueue  int        // bytes queued at the switch port
 
+	// Event callbacks bound once at construction; each hop schedules
+	// one with its packet as the argument, so forwarding allocates
+	// nothing per packet.
+	arriveFn func(any)
+	departFn func(any)
+	ackHops  []ackHop // per sender: the reverse-path delivery
+
 	delivered   *metrics.Counter
 	deliveredB  *metrics.Counter
 	switchDrops *metrics.Counter
@@ -95,7 +102,7 @@ func New(engine *sim.Engine, reg *metrics.Registry, senders int, cfg Config,
 	if toReceiver == nil || toSender == nil {
 		return nil, fmt.Errorf("fabric: delivery callbacks are required")
 	}
-	return &Network{
+	n := &Network{
 		engine:      engine,
 		cfg:         cfg,
 		toReceiver:  toReceiver,
@@ -107,8 +114,26 @@ func New(engine *sim.Engine, reg *metrics.Registry, senders int, cfg Config,
 		ecnMarks:    reg.Counter("fabric.ecn.marks"),
 		portGauge:   reg.Gauge("fabric.port.queue.bytes"),
 		fabricDelay: reg.Histogram("fabric.delay.ns"),
-	}, nil
+		ackHops:     make([]ackHop, senders),
+	}
+	n.arriveFn = n.arriveAtPort
+	n.departFn = n.depart
+	for s := range n.ackHops {
+		h := &n.ackHops[s]
+		h.n, h.sender = n, s
+		h.fn = h.deliver
+	}
+	return n, nil
 }
+
+// ackHop delivers acks at the end of one sender's reverse path.
+type ackHop struct {
+	n      *Network
+	sender int
+	fn     func(any)
+}
+
+func (h *ackHop) deliver(p any) { h.n.toSender(h.sender, p.(*pkt.Packet)) }
 
 // Senders returns the number of attached senders.
 func (n *Network) Senders() int { return len(n.senderBusy) }
@@ -136,13 +161,12 @@ func (n *Network) SendToReceiver(sender int, p *pkt.Packet) {
 	egressDone := start.Add(n.cfg.SenderLinkRate.TransmitTime(p.WireBytes))
 	n.senderBusy[sender] = egressDone
 
-	n.engine.At(egressDone.Add(n.cfg.PropagationDelay), func() {
-		n.arriveAtPort(p)
-	})
+	n.engine.AtArg(egressDone.Add(n.cfg.PropagationDelay), n.arriveFn, p)
 }
 
 // arriveAtPort runs the receiver-facing switch output port.
-func (n *Network) arriveAtPort(p *pkt.Packet) {
+func (n *Network) arriveAtPort(a any) {
+	p := a.(*pkt.Packet)
 	if n.portQueue+p.WireBytes > n.cfg.SwitchBufferBytes {
 		n.switchDrops.Inc()
 		n.pool.Release(p)
@@ -161,15 +185,20 @@ func (n *Network) arriveAtPort(p *pkt.Packet) {
 	}
 	finish := start.Add(n.cfg.AccessLinkRate.TransmitTime(p.WireBytes))
 	n.portBusy = finish
-	n.engine.At(finish, func() {
-		n.portQueue -= p.WireBytes
-		n.portGauge.Set(int64(n.portQueue))
-		n.delivered.Inc()
-		n.deliveredB.Add(uint64(p.WireBytes))
-		p.EchoFabric = n.engine.Now().Sub(p.SentAt)
-		n.fabricDelay.Observe(float64(p.EchoFabric))
-		n.toReceiver(p)
-	})
+	n.engine.AtArg(finish, n.departFn, p)
+}
+
+// depart hands a packet that has crossed the access link to the
+// receiver NIC.
+func (n *Network) depart(a any) {
+	p := a.(*pkt.Packet)
+	n.portQueue -= p.WireBytes
+	n.portGauge.Set(int64(n.portQueue))
+	n.delivered.Inc()
+	n.deliveredB.Add(uint64(p.WireBytes))
+	p.EchoFabric = n.engine.Now().Sub(p.SentAt)
+	n.fabricDelay.Observe(float64(p.EchoFabric))
+	n.toReceiver(p)
 }
 
 // SendToSender carries an ACK from the receiver back to a sender. The
@@ -180,7 +209,7 @@ func (n *Network) SendToSender(sender int, p *pkt.Packet) {
 		panic(fmt.Sprintf("fabric: sender %d out of range", sender))
 	}
 	delay := n.cfg.PropagationDelay + n.cfg.AccessLinkRate.TransmitTime(p.WireBytes)
-	n.engine.After(delay, func() { n.toSender(sender, p) })
+	n.engine.AfterArg(delay, n.ackHops[sender].fn, p)
 }
 
 // PortQueueBytes returns the current switch output-port occupancy.

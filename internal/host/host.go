@@ -453,10 +453,9 @@ func NewWith(rt Runtime, cfg Config) (*Testbed, error) {
 
 	// Receiver transport endpoint: acks leave through the NIC TX path
 	// and ride the fabric back to the owning sender.
+	ackOnWire := func(p *pkt.Packet) { t.Fabric.SendToSender(flowSender(p.Flow), p) }
 	t.Receiver, err = transport.NewReceiver(t.Engine, t.Registry, cfg.Transport, func(ack *pkt.Packet) {
-		t.NIC.Transmit(ack, func(p *pkt.Packet) {
-			t.Fabric.SendToSender(flowSender(p.Flow), p)
-		})
+		t.NIC.Transmit(ack, ackOnWire)
 	})
 	if err != nil {
 		return nil, err
@@ -513,9 +512,8 @@ func NewWith(rt Runtime, cfg Config) (*Testbed, error) {
 	t.Fabric.SetPool(t.Pool)
 
 	// Optional sender-side hosts: the TX datapath with backpressure.
-	emitFor := func(s int) func(int, *pkt.Packet) {
-		return func(sndr int, p *pkt.Packet) { t.Fabric.SendToReceiver(sndr, p) }
-	}
+	toFabric := func(sndr int, p *pkt.Packet) { t.Fabric.SendToReceiver(sndr, p) }
+	emitFor := func(int) func(int, *pkt.Packet) { return toFabric }
 	if cfg.SenderHostModel {
 		for s := 0; s < cfg.Senders; s++ {
 			s := s
@@ -597,10 +595,11 @@ func (t *Testbed) ackToConn(a *pkt.Packet) {
 func (t *Testbed) Start() {
 	rng := t.Engine.RNG().Fork()
 	for _, c := range t.Conns {
-		c := c
-		t.Engine.After(sim.Duration(rng.Uint64n(uint64(sim.Millisecond))), c.Start)
+		t.Engine.AfterArg(sim.Duration(rng.Uint64n(uint64(sim.Millisecond))), startConn, c)
 	}
 }
+
+func startConn(c any) { c.(*transport.Conn).Start() }
 
 // EnableCapture taps the receiver NIC and writes every arriving packet
 // to w in the wire capture format. The returned writer reports how many

@@ -17,9 +17,9 @@ import (
 // RTT), the IOTLB working set, the memory controller's smoothed IO
 // demand estimate, the NIC's round-robin service cursor, and the engine
 // RNG stream. What is record-only: NIC buffer occupancy and PCIe credit
-// occupancy — both are held by live packets and in-flight DMA closures
-// that cannot be fabricated into a fresh event queue; they re-establish
-// within a few RTTs of the guard window. The engine state documents
+// occupancy — both are held by live packets and in-flight DMA state
+// machines that cannot be fabricated into a fresh event queue; they
+// re-establish within a few RTTs of the guard window. The engine state documents
 // where the donor run stood (provenance and cache salting).
 //
 // The result of a warm-started run is approximate, never bit-identical

@@ -312,6 +312,9 @@ type IOMMU struct {
 
 	mappings []mapping
 
+	// ops is the free list of in-flight translation state machines.
+	ops []*xlateOp
+
 	// missEWMA tracks recent misses per translation (per-event EWMA, so
 	// it stays deterministic and tick-free). Drop attribution reads it to
 	// decide whether the IOTLB was thrashing when a packet was dropped.
@@ -471,15 +474,72 @@ func (u *IOMMU) UnmapRegion(base uint64) error {
 // the working-set size that competes for the 128 IOTLB entries.
 func (u *IOMMU) MappedPages() int64 { return u.mappedPages.Value() }
 
+// contains reports whether iova falls inside the mapping.
+func (m *mapping) contains(iova uint64) bool {
+	return iova >= m.base && iova < m.base+m.size
+}
+
 // regionFor finds the mapping containing iova, or nil.
 func (u *IOMMU) regionFor(iova uint64) *mapping {
 	for i := range u.mappings {
-		m := &u.mappings[i]
-		if iova >= m.base && iova < m.base+m.size {
+		if m := &u.mappings[i]; m.contains(iova) {
 			return m
 		}
 	}
 	return nil
+}
+
+// xlateOp is one in-flight Translate: the pages still to resolve, the
+// running result and the caller's continuation. Its continuations are
+// method values bound once when the op is built, and ops are recycled
+// through the IOMMU's free list, so a translation — hits, page walks,
+// multi-page DMAs, strict-mode cycles — schedules its steps without
+// allocating.
+type xlateOp struct {
+	u *IOMMU
+	// page..last are the DMA's page numbers at m's granularity; m is a
+	// copy of the mapping holding the DMA's first byte.
+	page, last uint64
+	m          mapping
+	key        tlbKey // IOTLB key of the page being walked
+	walkLeft   int    // page-table reads still to issue for this page
+	strict     bool
+	strictLeft int // strict mode: freshly mapped pages still to walk
+	res        TranslationResult
+	done       func(TranslationResult)
+
+	hitFn       func() // after an IOTLB hit's latency: next page
+	walkReadFn  func() // a page-table read completed
+	walkStepFn  func() // the walker's per-read step latency elapsed
+	strictMapFn func() // strict mode: the per-DMA map completed
+}
+
+func (u *IOMMU) getOp(done func(TranslationResult)) *xlateOp {
+	var op *xlateOp
+	if n := len(u.ops); n > 0 {
+		op = u.ops[n-1]
+		u.ops[n-1] = nil
+		u.ops = u.ops[:n-1]
+	} else {
+		op = &xlateOp{u: u}
+		op.hitFn = op.next
+		op.walkReadFn = op.walkRead
+		op.walkStepFn = op.walkStep
+		op.strictMapFn = op.strictWalk
+	}
+	op.done = done
+	op.res = TranslationResult{}
+	op.strict = false
+	return op
+}
+
+// finish recycles the op, then hands its result to the caller — in that
+// order, so a caller that immediately translates again reuses it.
+func (op *xlateOp) finish() {
+	res, done := op.res, op.done
+	op.done = nil
+	op.u.ops = append(op.u.ops, op)
+	done(res)
 }
 
 // Translate resolves every page touched by a DMA of size bytes starting
@@ -508,10 +568,12 @@ func (u *IOMMU) Translate(iova uint64, size int, done func(TranslationResult)) {
 	}
 	// Enumerate the distinct pages the DMA touches within the region's
 	// granularity. A fault mid-DMA aborts the remainder.
-	first := iova >> m.ps.Shift()
-	last := (iova + uint64(size) - 1) >> m.ps.Shift()
-	res := TranslationResult{Pages: int(last - first + 1)}
-	u.translatePage(first, last, m, res, done)
+	op := u.getOp(done)
+	op.m = *m
+	op.page = iova >> m.ps.Shift()
+	op.last = (iova + uint64(size) - 1) >> m.ps.Shift()
+	op.res.Pages = int(op.last - op.page + 1)
+	op.translatePage()
 }
 
 // translateStrict performs the per-DMA map → translate → unmap cycle of
@@ -525,40 +587,48 @@ func (u *IOMMU) translateStrict(iova uint64, size int, done func(TranslationResu
 	// Strict-mode DMA windows are 4 KB-mapped regardless of backing.
 	first := iova >> Page4K.Shift()
 	last := (iova + uint64(size) - 1) >> Page4K.Shift()
-	res := TranslationResult{Pages: int(last - first + 1)}
+	op := u.getOp(done)
+	op.strict = true
+	op.strictLeft = int(last - first + 1)
+	op.res.Pages = op.strictLeft
 	u.strictMaps.Inc()
-	u.engine.After(u.cfg.StrictMapLatency, func() {
-		u.strictWalkAll(int(last-first+1), res, done)
-	})
+	u.engine.After(u.cfg.StrictMapLatency, op.strictMapFn)
 }
 
-// strictWalkAll walks n freshly mapped pages back to back.
-func (u *IOMMU) strictWalkAll(n int, res TranslationResult, done func(TranslationResult)) {
-	if n == 0 {
-		done(res)
+// strictWalk walks the op's freshly mapped pages back to back.
+func (op *xlateOp) strictWalk() {
+	if op.strictLeft == 0 {
+		op.finish()
 		return
 	}
+	op.strictLeft--
+	u := op.u
 	u.translations.Inc()
 	u.misses.Inc()
 	u.observeMiss(true)
-	res.Misses++
+	op.res.Misses++
 	// The fresh mapping shares upper levels with previous windows, so
 	// the PWC usually covers them; the leaf is always read.
-	res.WalkAccesses++
-	u.walk(1, func() {
-		u.strictWalkAll(n-1, res, done)
-	})
+	op.res.WalkAccesses++
+	op.walkLeft = 1
+	op.walk()
 }
 
-// translatePage resolves pages [page, last] sequentially (hardware
-// pipelines these, but sequential resolution both simplifies the model and
-// matches the per-DMA latency accounting of §3.1's throughput bound).
-func (u *IOMMU) translatePage(page, last uint64, m *mapping, res TranslationResult, done func(TranslationResult)) {
-	iova := page << m.ps.Shift()
-	if mm := u.regionFor(iova); mm == nil {
+// translatePage resolves the op's current page; pages resolve
+// sequentially (hardware pipelines these, but sequential resolution both
+// simplifies the model and matches the per-DMA latency accounting of
+// §3.1's throughput bound).
+func (op *xlateOp) translatePage() {
+	u := op.u
+	m := &op.m
+	iova := op.page << m.ps.Shift()
+	// The DMA's own mapping covers almost every page; only a DMA running
+	// past its end needs the full region table, and faults only where
+	// no mapping covers the page.
+	if !m.contains(iova) && u.regionFor(iova) == nil {
 		u.faults.Inc()
-		res.Fault = fmt.Errorf("iommu: DMA fault at %#x (unmapped)", iova)
-		done(res)
+		op.res.Fault = fmt.Errorf("iommu: DMA fault at %#x (unmapped)", iova)
+		op.finish()
 		return
 	}
 	u.translations.Inc()
@@ -567,7 +637,7 @@ func (u *IOMMU) translatePage(page, last uint64, m *mapping, res TranslationResu
 	if u.devTLB != nil && u.devTLB.lookup(key) {
 		u.devHits.Inc()
 		u.observeMiss(false)
-		u.next(page, last, m, res, done)
+		op.next()
 		return
 	}
 	if u.iotlb.lookup(key) {
@@ -578,34 +648,64 @@ func (u *IOMMU) translatePage(page, last uint64, m *mapping, res TranslationResu
 		}
 		// A hit costs a few ns; fold it in as a scheduled step so hit
 		// latency still appears in the DMA timeline.
-		u.engine.After(u.cfg.TLBHitLatency, func() {
-			u.next(page, last, m, res, done)
-		})
+		u.engine.After(u.cfg.TLBHitLatency, op.hitFn)
 		return
 	}
 
 	// IOTLB miss: walk the levels not covered by the page-walk caches.
 	u.misses.Inc()
 	u.observeMiss(true)
-	res.Misses++
+	op.res.Misses++
 	reads := u.walkReadsNeeded(iova, m.ps)
-	res.WalkAccesses += reads
-	u.walk(reads, func() {
-		u.iotlb.insert(key)
-		if u.devTLB != nil {
-			u.devTLB.insert(key)
-		}
-		u.next(page, last, m, res, done)
-	})
+	op.res.WalkAccesses += reads
+	op.key = key
+	op.walkLeft = reads
+	op.walk()
 }
 
 // next advances to the following page or completes.
-func (u *IOMMU) next(page, last uint64, m *mapping, res TranslationResult, done func(TranslationResult)) {
-	if page == last {
-		done(res)
+func (op *xlateOp) next() {
+	if op.page == op.last {
+		op.finish()
 		return
 	}
-	u.translatePage(page+1, last, m, res, done)
+	op.page++
+	op.translatePage()
+}
+
+// walk performs the op's remaining page-table reads sequentially through
+// the memory controller. Sequential chaining is what couples walk cost
+// to memory-bus load (§3.2's "larger PCIe latencies further degrade the
+// throughput").
+func (op *xlateOp) walk() {
+	if op.walkLeft == 0 {
+		op.walked()
+		return
+	}
+	op.u.walkReads.Inc()
+	op.u.memory.Read(op.u.cfg.WalkEntryBytes, op.walkReadFn)
+}
+
+func (op *xlateOp) walkRead() { op.u.engine.After(op.u.cfg.WalkStepLatency, op.walkStepFn) }
+
+func (op *xlateOp) walkStep() {
+	op.walkLeft--
+	op.walk()
+}
+
+// walked completes a page walk: strict mode moves to its next fresh
+// page; loose mode installs the translation and moves on.
+func (op *xlateOp) walked() {
+	if op.strict {
+		op.strictWalk()
+		return
+	}
+	u := op.u
+	u.iotlb.insert(op.key)
+	if u.devTLB != nil {
+		u.devTLB.insert(op.key)
+	}
+	op.next()
 }
 
 // walkReadsNeeded consults the page-walk caches: each upper level hit
@@ -625,23 +725,6 @@ func (u *IOMMU) walkReadsNeeded(iova uint64, ps PageSize) int {
 		}
 	}
 	return reads
-}
-
-// walk performs n sequential page-table reads through the memory
-// controller, then calls done. Sequential chaining is what couples walk
-// cost to memory-bus load (§3.2's "larger PCIe latencies further degrade
-// the throughput").
-func (u *IOMMU) walk(n int, done func()) {
-	if n == 0 {
-		done()
-		return
-	}
-	u.walkReads.Inc()
-	u.memory.Read(u.cfg.WalkEntryBytes, func() {
-		u.engine.After(u.cfg.WalkStepLatency, func() {
-			u.walk(n-1, done)
-		})
-	})
 }
 
 // Stats is a snapshot of translation activity.

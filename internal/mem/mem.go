@@ -24,7 +24,6 @@ package mem
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"hic/internal/metrics"
 	"hic/internal/sim"
@@ -108,8 +107,8 @@ type Controller struct {
 	engine *sim.Engine
 	cfg    Config
 
-	// Fluid CPU-side demand, bytes/second per source.
-	cpuDemand map[string]float64
+	// Fluid CPU-side demand, bytes/second per source, sorted by source.
+	cpuDemand []cpuSource
 	cpuTotal  float64 // sum of cpuDemand
 
 	// Discrete IO-side virtual server.
@@ -139,7 +138,6 @@ func New(engine *sim.Engine, reg *metrics.Registry, cfg Config) (*Controller, er
 	c := &Controller{
 		engine:      engine,
 		cfg:         cfg,
-		cpuDemand:   make(map[string]float64),
 		loadFactor:  1,
 		lastAccount: engine.Now(),
 		ioServed:    reg.Counter("mem.io.bytes"),
@@ -150,6 +148,12 @@ func New(engine *sim.Engine, reg *metrics.Registry, cfg Config) (*Controller, er
 	c.recompute()
 	engine.Every(cfg.Epoch, c.epoch)
 	return c, nil
+}
+
+// cpuSource is one registered fluid CPU-side demand.
+type cpuSource struct {
+	source string
+	rate   float64 // offered bytes/second
 }
 
 // capacity returns the achievable bandwidth in bytes/second.
@@ -165,22 +169,26 @@ func (c *Controller) SetCPUDemand(source string, bytesPerSecond float64) {
 		bytesPerSecond = 0
 	}
 	c.accountCPU()
-	if bytesPerSecond == 0 {
-		delete(c.cpuDemand, source)
-	} else {
-		c.cpuDemand[source] = bytesPerSecond
+	i := 0
+	for i < len(c.cpuDemand) && c.cpuDemand[i].source < source {
+		i++
 	}
-	// Sum in sorted key order: float addition is not associative, and
-	// Go map iteration order is random — summing in map order would make
-	// runs non-reproducible in the last bits.
-	keys := make([]string, 0, len(c.cpuDemand))
-	for k := range c.cpuDemand {
-		keys = append(keys, k)
+	found := i < len(c.cpuDemand) && c.cpuDemand[i].source == source
+	switch {
+	case found && bytesPerSecond == 0:
+		c.cpuDemand = append(c.cpuDemand[:i], c.cpuDemand[i+1:]...)
+	case found:
+		c.cpuDemand[i].rate = bytesPerSecond
+	case bytesPerSecond != 0:
+		c.cpuDemand = append(c.cpuDemand, cpuSource{})
+		copy(c.cpuDemand[i+1:], c.cpuDemand[i:])
+		c.cpuDemand[i] = cpuSource{source: source, rate: bytesPerSecond}
 	}
-	sort.Strings(keys)
+	// Sum in sorted source order: float addition is not associative, so
+	// a fixed order keeps runs reproducible in the last bits.
 	c.cpuTotal = 0
-	for _, k := range keys {
-		c.cpuTotal += c.cpuDemand[k]
+	for _, d := range c.cpuDemand {
+		c.cpuTotal += d.rate
 	}
 	c.recompute()
 }

@@ -91,7 +91,35 @@ func NewHistogram(subBuckets int) *Histogram {
 }
 
 // bucketIndex maps a value to its bucket. Values < 1 map to bucket 0.
+//
+// v = m·2^e with m in [0.5, 1) splits exactly into octave e-1 and the
+// in-octave fraction 2m-1, with no transcendental calls. It agrees with
+// the defining formula, bucketIndexLog2, for every v except those a few
+// ulps below a power of two, where Log2 rounds up into the next octave
+// and the defining formula puts v in that octave's first sub-bucket;
+// such mantissas defer to it, as do +Inf and NaN (Frexp returns them as
+// their own mantissa), so bucketing is unchanged bit for bit.
 func (h *Histogram) bucketIndex(v float64) int {
+	if v < 1 {
+		return 0
+	}
+	m, e := math.Frexp(v)
+	if !(m <= mantissaGuard) {
+		return h.bucketIndexLog2(v)
+	}
+	sub := int((2*m - 1) * float64(h.subBuckets))
+	if sub >= h.subBuckets {
+		sub = h.subBuckets - 1
+	}
+	return 1 + (e-1)*h.subBuckets + sub
+}
+
+// mantissaGuard is the Frexp mantissa above which bucketIndex defers to
+// the Log2 formula: 0.5·(2 - 2^-40), i.e. 2m-1 > 1-2^-40.
+const mantissaGuard = 1 - 1.0/(1<<41)
+
+// bucketIndexLog2 is the defining bucket formula.
+func (h *Histogram) bucketIndexLog2(v float64) int {
 	if v < 1 {
 		return 0
 	}
@@ -124,9 +152,9 @@ func (h *Histogram) Observe(v float64) {
 	}
 	idx := h.bucketIndex(v)
 	if idx >= len(h.counts) {
-		grown := make([]uint64, idx+1)
-		copy(grown, h.counts)
-		h.counts = grown
+		// append grows the capacity geometrically, so a histogram
+		// reaching ever-higher buckets reallocates only a few times.
+		h.counts = append(h.counts, make([]uint64, idx+1-len(h.counts))...)
 	}
 	h.counts[idx]++
 	h.count++

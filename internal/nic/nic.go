@@ -116,7 +116,7 @@ type NIC struct {
 
 	// buffers[0] is the single shared FIFO; with PerQueueBuffers there
 	// is one FIFO per queue, each owning BufferBytes/Queues of SRAM.
-	buffers     [][]*pkt.Packet
+	buffers     []sim.FIFO[*pkt.Packet]
 	bufUsed     []int
 	bufCap      int // capacity per buffer
 	rrNext      int // round-robin cursor for partitioned service
@@ -132,6 +132,10 @@ type NIC struct {
 	descriptors []int // available descriptors per queue
 
 	txBusyUntil sim.Time
+
+	// Free lists of per-packet DMA state machines (see rxDMA, txOp).
+	rxFree []*rxDMA
+	txFree []*txOp
 
 	rxPackets  *metrics.Counter
 	rxBytes    *metrics.Counter
@@ -194,11 +198,11 @@ func New(engine *sim.Engine, reg *metrics.Registry, link *pcie.Link, mmu *iommu.
 		n.descriptors[q] = cfg.RingSize
 	}
 	if cfg.PerQueueBuffers {
-		n.buffers = make([][]*pkt.Packet, cfg.Queues)
+		n.buffers = make([]sim.FIFO[*pkt.Packet], cfg.Queues)
 		n.bufUsed = make([]int, cfg.Queues)
 		n.bufCap = cfg.BufferBytes / cfg.Queues
 	} else {
-		n.buffers = make([][]*pkt.Packet, 1)
+		n.buffers = make([]sim.FIFO[*pkt.Packet], 1)
 		n.bufUsed = make([]int, 1)
 		n.bufCap = cfg.BufferBytes
 	}
@@ -251,7 +255,7 @@ func (n *NIC) Receive(p *pkt.Packet) {
 	if n.cfg.HostECNThreshold > 0 && n.bufferUsed >= n.cfg.HostECNThreshold {
 		p.HostECN = true
 	}
-	n.buffers[b] = append(n.buffers[b], p)
+	n.buffers[b].Push(p)
 	n.bufUsed[b] += p.WireBytes
 	n.bufferUsed += p.WireBytes
 	n.bufferGa.Set(int64(n.bufferUsed))
@@ -271,10 +275,10 @@ func (n *NIC) Receive(p *pkt.Packet) {
 // and a descriptor-starved queue is skipped rather than blocking others.
 func (n *NIC) selectBuffer() int {
 	if !n.cfg.PerQueueBuffers {
-		if len(n.buffers[0]) == 0 {
+		if n.buffers[0].Len() == 0 {
 			return -1
 		}
-		if n.descriptors[n.buffers[0][0].Queue] == 0 {
+		if n.descriptors[n.buffers[0].Front().Queue] == 0 {
 			n.descStalls.Inc()
 			n.stalled = true
 			return -1
@@ -284,11 +288,11 @@ func (n *NIC) selectBuffer() int {
 	nonEmpty := false
 	for i := 0; i < len(n.buffers); i++ {
 		b := (n.rrNext + i) % len(n.buffers)
-		if len(n.buffers[b]) == 0 {
+		if n.buffers[b].Len() == 0 {
 			continue
 		}
 		nonEmpty = true
-		if n.descriptors[n.buffers[b][0].Queue] == 0 {
+		if n.descriptors[n.buffers[b].Front().Queue] == 0 {
 			n.descStalls.Inc()
 			continue
 		}
@@ -299,6 +303,61 @@ func (n *NIC) selectBuffer() int {
 		n.stalled = true // every backlogged queue lacks descriptors
 	}
 	return -1
+}
+
+// rxDMA is one received packet's trip from the head of the input buffer
+// to host-visible delivery: credit wait, link serialization, then the
+// root-complex chain of three translate → memory-access steps
+// (descriptor fetch, payload write, completion write) and the root
+// complex's fixed pipeline latency. Its continuations are method values
+// bound once when the state machine is built, and the NIC recycles it
+// when the packet is delivered, so the per-packet receive path
+// schedules every step without allocating.
+type rxDMA struct {
+	n    *NIC
+	p    *pkt.Packet
+	buf  int // input buffer the packet occupies until its TLPs land
+	wire int // posted-write credit bytes held until delivery
+
+	pumpStart, dmaStart sim.Time
+	stageStart, rcStart sim.Time
+
+	payloadAddr, descAddr, complAddr uint64
+	step                             int // chain step: rxDescriptor, rxPayload or rxCompletion
+	misses                           int
+	xlateNs, memNs                   float64
+	// Span annotations of the memory access in flight, captured at
+	// issue time for sampled packets.
+	memLF, memQD float64
+
+	grantedFn    func()
+	linkedFn     func()
+	translatedFn func(iommu.TranslationResult)
+	accessedFn   func()
+	deliveredFn  func()
+}
+
+// Steps of the root-complex chain, in order.
+const (
+	rxDescriptor = iota
+	rxPayload
+	rxCompletion
+)
+
+func (n *NIC) getRxDMA() *rxDMA {
+	if k := len(n.rxFree); k > 0 {
+		d := n.rxFree[k-1]
+		n.rxFree[k-1] = nil
+		n.rxFree = n.rxFree[:k-1]
+		return d
+	}
+	d := &rxDMA{n: n}
+	d.grantedFn = d.granted
+	d.linkedFn = d.linked
+	d.translatedFn = d.translated
+	d.accessedFn = d.accessed
+	d.deliveredFn = d.delivered
+	return d
 }
 
 // pump starts the DMA for the next packet when a descriptor and PCIe
@@ -313,126 +372,157 @@ func (n *NIC) pump() {
 	if b < 0 {
 		return
 	}
-	head := n.buffers[b][0]
+	head := n.buffers[b].Front()
 	n.descriptors[head.Queue]--
 	n.pumping = true
-	wire := n.link.Config().WireBytes(head.PayloadBytes + n.cfg.CompletionBytes)
-	pumpStart := n.engine.Now()
+	d := n.getRxDMA()
+	d.p = head
+	d.buf = b
+	d.wire = n.link.Config().WireBytes(head.PayloadBytes + n.cfg.CompletionBytes)
+	d.pumpStart = n.engine.Now()
 	if head.Span != nil {
-		head.Span.Advance(telemetry.StageNICBuffer, pumpStart)
+		head.Span.Advance(telemetry.StageNICBuffer, d.pumpStart)
 	}
-	n.link.AcquireCredits(wire, func() {
-		dmaStart := n.engine.Now()
-		n.stageWait.Observe(float64(dmaStart.Sub(pumpStart)))
-		if head.Span != nil {
-			head.Span.Advance(telemetry.StageCreditWait, dmaStart,
-				telemetry.Attr{Key: "credit_bytes", Value: float64(wire)},
-				telemetry.Attr{Key: "credits_free", Value: float64(n.link.CreditsAvailable())})
-		}
-		n.link.Transmit(head.PayloadBytes, func() {
-			n.stageLink.Observe(float64(n.engine.Now().Sub(dmaStart)))
-			if head.Span != nil {
-				head.Span.Advance(telemetry.StageLink, n.engine.Now())
-			}
-			// TLPs accepted by the root complex: the packet no longer
-			// occupies NIC SRAM; continue the downstream write chain.
-			n.buffers[b] = n.buffers[b][1:]
-			n.bufUsed[b] -= head.WireBytes
-			n.bufferUsed -= head.WireBytes
-			n.bufferGa.Set(int64(n.bufferUsed))
-			n.pumping = false
-			n.rootComplexChain(head, wire, dmaStart)
-			n.pump()
-		})
-	})
+	n.link.AcquireCredits(d.wire, d.grantedFn)
+}
+
+// granted starts the link transfer once the credits are held.
+func (d *rxDMA) granted() {
+	n, p := d.n, d.p
+	d.dmaStart = n.engine.Now()
+	n.stageWait.Observe(float64(d.dmaStart.Sub(d.pumpStart)))
+	if p.Span != nil {
+		p.Span.Advance(telemetry.StageCreditWait, d.dmaStart,
+			telemetry.Attr{Key: "credit_bytes", Value: float64(d.wire)},
+			telemetry.Attr{Key: "credits_free", Value: float64(n.link.CreditsAvailable())})
+	}
+	n.link.Transmit(p.PayloadBytes, d.linkedFn)
+}
+
+// linked runs when the TLPs have been accepted by the root complex: the
+// packet no longer occupies NIC SRAM, so the next packet may pump while
+// this one continues down the root-complex chain.
+func (d *rxDMA) linked() {
+	n, p := d.n, d.p
+	n.stageLink.Observe(float64(n.engine.Now().Sub(d.dmaStart)))
+	if p.Span != nil {
+		p.Span.Advance(telemetry.StageLink, n.engine.Now())
+	}
+	n.buffers[d.buf].Pop()
+	n.bufUsed[d.buf] -= p.WireBytes
+	n.bufferUsed -= p.WireBytes
+	n.bufferGa.Set(int64(n.bufferUsed))
+	n.pumping = false
+	d.rootComplexChain()
+	n.pump()
 }
 
 // rootComplexChain performs the per-packet work downstream of the link:
 // descriptor fetch, payload write, completion write — each preceded by an
 // IOMMU translation — plus the root complex's fixed pipeline latency.
 // Credits are released only at the end (step 6 of the paper's datapath).
-func (n *NIC) rootComplexChain(p *pkt.Packet, creditBytes int, dmaStart sim.Time) {
-	payloadAddr, descAddr, complAddr := n.planner.PlanRx(p.Queue, p.PayloadBytes)
-	misses := 0
-	var xlateNs, memNs float64
-	stageStart := n.engine.Now()
-	span := p.Span
+func (d *rxDMA) rootComplexChain() {
+	n, p := d.n, d.p
+	d.payloadAddr, d.descAddr, d.complAddr = n.planner.PlanRx(p.Queue, p.PayloadBytes)
+	d.misses = 0
+	d.xlateNs, d.memNs = 0, 0
+	d.stageStart = n.engine.Now()
+	d.step = rxDescriptor
+	n.mmu.Translate(d.descAddr, n.cfg.DescriptorBytes, d.translatedFn)
+}
 
-	finish := func() {
-		n.stageXlate.Observe(xlateNs)
-		n.stageMem.Observe(memNs)
-		rcStart := n.engine.Now()
-		n.engine.After(n.link.Config().RootComplexLatency, func() {
-			n.stageRC.Observe(float64(n.engine.Now().Sub(rcStart)))
-			n.link.ReleaseCredits(creditBytes)
-			n.missesHist.Observe(float64(misses))
-			n.dmaLatency.Observe(float64(n.engine.Now().Sub(dmaStart)))
-			p.Delivered = n.engine.Now()
-			p.EchoHostDelay = p.Delivered.Sub(p.NICArrival)
-			if span != nil {
-				span.Advance(telemetry.StageRootComplex, p.Delivered,
-					telemetry.Attr{Key: "credit_hold_ns", Value: float64(p.Delivered.Sub(dmaStart))},
-					telemetry.Attr{Key: "iotlb_misses", Value: float64(misses)})
-			}
-			n.rxPayload.Add(uint64(p.PayloadBytes))
-			n.hostDelay.Observe(float64(p.EchoHostDelay))
-			n.deliver(p)
-		})
-	}
+// lap folds the time since the previous stage boundary into acc.
+func (d *rxDMA) lap(acc *float64) {
+	now := d.n.engine.Now()
+	*acc += float64(now.Sub(d.stageStart))
+	d.stageStart = now
+}
 
-	step := func(acc *float64) {
-		now := n.engine.Now()
-		*acc += float64(now.Sub(stageStart))
-		stageStart = now
+// translated completes one step's address translation and issues its
+// memory access, folding the elapsed time into the per-stage histograms
+// and — for sampled packets — recording a span stage with the
+// translation's miss/walk counts.
+func (d *rxDMA) translated(r iommu.TranslationResult) {
+	n, span := d.n, d.p.Span
+	n.countFault(r)
+	d.misses += r.Misses
+	d.lap(&d.xlateNs)
+	if span != nil {
+		span.Advance(telemetry.StageTranslate, n.engine.Now(),
+			telemetry.Attr{Key: "misses", Value: float64(r.Misses)},
+			telemetry.Attr{Key: "walk_reads", Value: float64(r.WalkAccesses)},
+			telemetry.Attr{Key: "pages", Value: float64(r.Pages)})
+		d.memLF = n.memory.LoadFactor()
+		d.memQD = float64(n.memory.QueueDelay())
 	}
-	// xlate/memOp wrap one link in the translate → access chain, folding
-	// the elapsed time into the per-stage histograms and — for sampled
-	// packets — recording a span stage with its local annotations
-	// (miss/walk counts for translations; the load factor and FIFO
-	// backlog seen at issue time for memory accesses).
-	xlate := func(r iommu.TranslationResult) {
-		n.countFault(r)
-		misses += r.Misses
-		step(&xlateNs)
-		if span != nil {
-			span.Advance(telemetry.StageTranslate, n.engine.Now(),
-				telemetry.Attr{Key: "misses", Value: float64(r.Misses)},
-				telemetry.Attr{Key: "walk_reads", Value: float64(r.WalkAccesses)},
-				telemetry.Attr{Key: "pages", Value: float64(r.Pages)})
-		}
+	if d.step == rxDescriptor {
+		n.memory.Read(d.stepBytes(), d.accessedFn)
+	} else {
+		n.memory.Write(d.stepBytes(), d.accessedFn)
 	}
-	memOp := func(access func(int, func()), bytes int, cont func()) {
-		var lf, qd float64
-		if span != nil {
-			lf = n.memory.LoadFactor()
-			qd = float64(n.memory.QueueDelay())
-		}
-		access(bytes, func() {
-			step(&memNs)
-			if span != nil {
-				span.Advance(telemetry.StageMemory, n.engine.Now(),
-					telemetry.Attr{Key: "load_factor", Value: lf},
-					telemetry.Attr{Key: "queue_wait_ns", Value: qd},
-					telemetry.Attr{Key: "bytes", Value: float64(bytes)})
-			}
-			cont()
-		})
-	}
+}
 
-	n.mmu.Translate(descAddr, n.cfg.DescriptorBytes, func(r iommu.TranslationResult) {
-		xlate(r)
-		memOp(n.memory.Read, n.cfg.DescriptorBytes, func() {
-			n.mmu.Translate(payloadAddr, p.PayloadBytes, func(r iommu.TranslationResult) {
-				xlate(r)
-				memOp(n.memory.Write, p.PayloadBytes, func() {
-					n.mmu.Translate(complAddr, n.cfg.CompletionBytes, func(r iommu.TranslationResult) {
-						xlate(r)
-						memOp(n.memory.Write, n.cfg.CompletionBytes, finish)
-					})
-				})
-			})
-		})
-	})
+// stepBytes returns the memory access size of the current chain step.
+func (d *rxDMA) stepBytes() int {
+	switch d.step {
+	case rxDescriptor:
+		return d.n.cfg.DescriptorBytes
+	case rxPayload:
+		return d.p.PayloadBytes
+	default:
+		return d.n.cfg.CompletionBytes
+	}
+}
+
+// accessed completes one step's memory access — recording, for sampled
+// packets, the load factor and FIFO backlog seen at issue time — and
+// moves to the next step's translation, or into the root-complex
+// pipeline after the completion write.
+func (d *rxDMA) accessed() {
+	n, span := d.n, d.p.Span
+	d.lap(&d.memNs)
+	if span != nil {
+		span.Advance(telemetry.StageMemory, n.engine.Now(),
+			telemetry.Attr{Key: "load_factor", Value: d.memLF},
+			telemetry.Attr{Key: "queue_wait_ns", Value: d.memQD},
+			telemetry.Attr{Key: "bytes", Value: float64(d.stepBytes())})
+	}
+	switch d.step {
+	case rxDescriptor:
+		d.step = rxPayload
+		n.mmu.Translate(d.payloadAddr, d.p.PayloadBytes, d.translatedFn)
+	case rxPayload:
+		d.step = rxCompletion
+		n.mmu.Translate(d.complAddr, n.cfg.CompletionBytes, d.translatedFn)
+	default:
+		n.stageXlate.Observe(d.xlateNs)
+		n.stageMem.Observe(d.memNs)
+		d.rcStart = n.engine.Now()
+		n.engine.After(n.link.Config().RootComplexLatency, d.deliveredFn)
+	}
+}
+
+// delivered ends the chain: credits return, the packet becomes visible
+// to host software, and the state machine goes back on the free list.
+func (d *rxDMA) delivered() {
+	n, p := d.n, d.p
+	now := n.engine.Now()
+	n.stageRC.Observe(float64(now.Sub(d.rcStart)))
+	n.link.ReleaseCredits(d.wire)
+	n.missesHist.Observe(float64(d.misses))
+	n.dmaLatency.Observe(float64(now.Sub(d.dmaStart)))
+	p.Delivered = now
+	p.EchoHostDelay = p.Delivered.Sub(p.NICArrival)
+	if p.Span != nil {
+		p.Span.Advance(telemetry.StageRootComplex, p.Delivered,
+			telemetry.Attr{Key: "credit_hold_ns", Value: float64(p.Delivered.Sub(d.dmaStart))},
+			telemetry.Attr{Key: "iotlb_misses", Value: float64(d.misses)})
+	}
+	n.rxPayload.Add(uint64(p.PayloadBytes))
+	n.hostDelay.Observe(float64(p.EchoHostDelay))
+	d.p = nil
+	n.rxFree = append(n.rxFree, d)
+	n.deliver(p)
 }
 
 func (n *NIC) countFault(r iommu.TranslationResult) {
@@ -443,6 +533,35 @@ func (n *NIC) countFault(r iommu.TranslationResult) {
 	}
 }
 
+// txOp is one outgoing packet's fetch-and-send, the TX counterpart of
+// rxDMA: bound continuations, recycled once the packet is on the wire.
+type txOp struct {
+	n      *NIC
+	p      *pkt.Packet
+	addr   uint64 // packet buffer address
+	onWire func(*pkt.Packet)
+
+	descFn    func(iommu.TranslationResult)
+	bufFn     func(iommu.TranslationResult)
+	fetchedFn func()
+	sentFn    func()
+}
+
+func (n *NIC) getTxOp() *txOp {
+	if k := len(n.txFree); k > 0 {
+		op := n.txFree[k-1]
+		n.txFree[k-1] = nil
+		n.txFree = n.txFree[:k-1]
+		return op
+	}
+	op := &txOp{n: n}
+	op.descFn = op.descTranslated
+	op.bufFn = op.bufTranslated
+	op.fetchedFn = op.fetched
+	op.sentFn = op.sent
+	return op
+}
+
 // Transmit sends an outgoing packet (ACKs in the receive-side workload).
 // The TX path fetches the packet from host memory — translating through
 // the IOMMU when TxTranslation is set, which is how ACK traffic competes
@@ -450,35 +569,48 @@ func (n *NIC) countFault(r iommu.TranslationResult) {
 // onWire is invoked when the packet has left the NIC.
 func (n *NIC) Transmit(p *pkt.Packet, onWire func(*pkt.Packet)) {
 	descAddr, addr := n.planner.PlanTx(p.Queue, p.WireBytes)
-	afterFetch := func() {
-		n.memory.Read(p.WireBytes, func() {
-			// TX serialization on the NIC's egress (same raw rate).
-			rate := n.link.Config().RawBandwidth()
-			start := n.txBusyUntil
-			if now := n.engine.Now(); start < now {
-				start = now
-			}
-			finish := start.Add(rate.TransmitTime(p.WireBytes))
-			n.txBusyUntil = finish
-			n.engine.At(finish, func() {
-				n.txPackets.Inc()
-				onWire(p)
-			})
-		})
-	}
+	op := n.getTxOp()
+	op.p, op.addr, op.onWire = p, addr, onWire
 	if n.cfg.TxTranslation {
 		// TX fetches its descriptor and the packet buffer, each through
 		// the IOMMU — the ACK-side translations of the paper's footnote 3.
-		n.mmu.Translate(descAddr, n.cfg.DescriptorBytes, func(r iommu.TranslationResult) {
-			n.countFault(r)
-			n.mmu.Translate(addr, p.WireBytes, func(r iommu.TranslationResult) {
-				n.countFault(r)
-				afterFetch()
-			})
-		})
+		n.mmu.Translate(descAddr, n.cfg.DescriptorBytes, op.descFn)
 	} else {
-		afterFetch()
+		op.fetch()
 	}
+}
+
+func (op *txOp) descTranslated(r iommu.TranslationResult) {
+	op.n.countFault(r)
+	op.n.mmu.Translate(op.addr, op.p.WireBytes, op.bufFn)
+}
+
+func (op *txOp) bufTranslated(r iommu.TranslationResult) {
+	op.n.countFault(r)
+	op.fetch()
+}
+
+func (op *txOp) fetch() { op.n.memory.Read(op.p.WireBytes, op.fetchedFn) }
+
+// fetched serializes the packet on the NIC's egress (same raw rate).
+func (op *txOp) fetched() {
+	n := op.n
+	rate := n.link.Config().RawBandwidth()
+	start := n.txBusyUntil
+	if now := n.engine.Now(); start < now {
+		start = now
+	}
+	finish := start.Add(rate.TransmitTime(op.p.WireBytes))
+	n.txBusyUntil = finish
+	n.engine.At(finish, op.sentFn)
+}
+
+func (op *txOp) sent() {
+	n, p, onWire := op.n, op.p, op.onWire
+	n.txPackets.Inc()
+	op.p, op.onWire = nil, nil
+	n.txFree = append(n.txFree, op)
+	onWire(p)
 }
 
 // ReplenishDescriptors returns count descriptors to a queue's ring; the

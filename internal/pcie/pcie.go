@@ -119,7 +119,7 @@ type Link struct {
 	busyUntil sim.Time
 
 	creditsFree int
-	waiters     []waiter
+	waiters     sim.FIFO[waiter]
 
 	txBytes    *metrics.Counter
 	txTLPs     *metrics.Counter
@@ -182,11 +182,11 @@ func (l *Link) AcquireCredits(n int, granted func()) {
 	if n <= 0 || n > l.cfg.CreditBytes {
 		panic(fmt.Sprintf("pcie: credit request %d outside (0,%d]", n, l.cfg.CreditBytes))
 	}
-	if len(l.waiters) == 0 && l.creditsFree >= n {
+	if l.waiters.Len() == 0 && l.creditsFree >= n {
 		l.grant(n, l.engine.Now(), granted)
 		return
 	}
-	l.waiters = append(l.waiters, waiter{n: n, since: l.engine.Now(), granted: granted})
+	l.waiters.Push(waiter{n: n, since: l.engine.Now(), granted: granted})
 }
 
 func (l *Link) grant(n int, since sim.Time, granted func()) {
@@ -208,9 +208,8 @@ func (l *Link) ReleaseCredits(n int) {
 			l.creditsFree, l.cfg.CreditBytes))
 	}
 	l.inFlight.Set(int64(l.cfg.CreditBytes - l.creditsFree))
-	for len(l.waiters) > 0 && l.creditsFree >= l.waiters[0].n {
-		w := l.waiters[0]
-		l.waiters = l.waiters[1:]
+	for l.waiters.Len() > 0 && l.creditsFree >= l.waiters.Front().n {
+		w := l.waiters.Pop()
 		l.grant(w.n, w.since, w.granted)
 	}
 }
@@ -229,13 +228,13 @@ func (l *Link) CreditOccupancy() float64 {
 }
 
 // QueuedWaiters returns how many acquirers are blocked on credits.
-func (l *Link) QueuedWaiters() int { return len(l.waiters) }
+func (l *Link) QueuedWaiters() int { return l.waiters.Len() }
 
 // WarmState is the link's contribution to a steady-state checkpoint.
-// Credits are held by in-flight DMA chains whose continuations are Go
-// closures, so nothing here can be restored into a fresh run — the
-// credit pool refills within microseconds once the warm-started
-// datapath flows. The snapshot is record-only: it documents how deep
+// Credits are held by in-flight DMA chains whose continuations are
+// live Go function values, so nothing here can be restored into a
+// fresh run — the credit pool refills within microseconds once the
+// warm-started datapath flows. The snapshot is record-only: it documents how deep
 // the donor ran into the posted-write credit pool (checkpoint
 // provenance, donor scoring).
 type WarmState struct {
@@ -254,8 +253,8 @@ func (l *Link) WarmState() WarmState {
 // posted-write credits and the NIC buffer can only drain at the
 // credit-return rate. Drop attribution samples this.
 func (l *Link) OldestWaiterAge() sim.Duration {
-	if len(l.waiters) == 0 {
+	if l.waiters.Len() == 0 {
 		return 0
 	}
-	return l.engine.Now().Sub(l.waiters[0].since)
+	return l.engine.Now().Sub(l.waiters.Front().since)
 }

@@ -123,6 +123,15 @@ func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("schedule→fire cycle allocates %.1f objects/op, want 0", allocs)
 	}
+	// A bound func(any) with a pointer argument: the per-item form.
+	item := new(int)
+	bound := func(a any) { *a.(*int)++ }
+	if allocs := testing.AllocsPerRun(1000, func() {
+		e.AfterArg(1, bound, item)
+		e.Drain()
+	}); allocs != 0 {
+		t.Errorf("AfterArg schedule→fire cycle allocates %.1f objects/op, want 0", allocs)
+	}
 
 	tkEngine := sim.NewEngine(2)
 	ticks := 0

@@ -29,7 +29,12 @@ type Receiver struct {
 	goodputPer map[uint32]uint64 // distinct payload bytes per flow
 }
 
-// seqWindow remembers recently seen sequence numbers of one flow.
+// seqWindow remembers recently seen sequence numbers of one flow: a
+// ring of windowSpan bits indexed by seq mod windowSpan. The ring starts
+// small and doubles to cover each new maximum until it reaches
+// windowSpan. Until then no slot has wrapped, so every seen seq sits at
+// the same bit in the small ring as in the full one and growth is a
+// plain copy; a short-lived flow never pays for the full span.
 type seqWindow struct {
 	bits []uint64
 	max  uint64
@@ -38,7 +43,7 @@ type seqWindow struct {
 const windowSpan = 1 << 16 // sequence numbers tracked per flow
 
 func newSeqWindow() *seqWindow {
-	return &seqWindow{bits: make([]uint64, windowSpan/64)}
+	return &seqWindow{bits: make([]uint64, 1)}
 }
 
 // observe marks seq as seen; it reports whether seq was already present.
@@ -46,6 +51,7 @@ func newSeqWindow() *seqWindow {
 // can only be ancient retransmissions).
 func (w *seqWindow) observe(seq uint64) bool {
 	if seq > w.max {
+		w.grow(seq)
 		// Clear the slots between max and seq (they leave the window).
 		for s := w.max + 1; s <= seq && s-w.max <= windowSpan; s++ {
 			w.bits[(s/64)%uint64(len(w.bits))] &^= 1 << (s % 64)
@@ -59,6 +65,20 @@ func (w *seqWindow) observe(seq uint64) bool {
 	dup := w.bits[idx]&mask != 0
 	w.bits[idx] |= mask
 	return dup
+}
+
+// grow widens a partial ring to cover seq, up to the full span.
+func (w *seqWindow) grow(seq uint64) {
+	n := uint64(len(w.bits))
+	if n == windowSpan/64 || seq < 64*n {
+		return
+	}
+	for n < windowSpan/64 && seq >= 64*n {
+		n *= 2
+	}
+	grown := make([]uint64, n)
+	copy(grown, w.bits)
+	w.bits = grown
 }
 
 // NewReceiver constructs the receiver endpoint. sendAck transmits an ACK

@@ -10,8 +10,9 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hic/internal/metrics"
 	"hic/internal/pkt"
@@ -108,11 +109,67 @@ func (c Config) validate() error {
 	return nil
 }
 
+// sentInfo is one outstanding sequence.
 type sentInfo struct {
+	seq       uint64
 	at        sim.Time
 	payload   int
 	retx      int
 	laterAcks int // acks for higher sequences seen since (re)send
+}
+
+// inflightSet holds a connection's outstanding sequences by value in
+// ascending seq order, so loss recovery walks them in order without
+// copying or sorting, and without allocating once the backing array has
+// grown to the connection's peak window. New sequences always exceed
+// every outstanding one (a retransmission reuses its entry), so add is
+// an append; acks retire entries mostly from the front.
+type inflightSet struct {
+	buf  []sentInfo
+	head int // live entries are buf[head:]
+}
+
+func (s *inflightSet) len() int { return len(s.buf) - s.head }
+
+// entries returns the outstanding sequences in ascending seq order.
+// Entries may be updated in place; the slice is valid until the next
+// add or remove.
+func (s *inflightSet) entries() []sentInfo { return s.buf[s.head:] }
+
+// add appends e, whose seq must exceed every outstanding seq.
+func (s *inflightSet) add(e sentInfo) {
+	if len(s.buf) == cap(s.buf) && s.head > 0 {
+		n := copy(s.buf, s.buf[s.head:])
+		s.buf, s.head = s.buf[:n], 0
+	}
+	s.buf = append(s.buf, e)
+}
+
+// find returns seq's index in entries(), or -1 if it is not outstanding.
+func (s *inflightSet) find(seq uint64) int {
+	i, ok := slices.BinarySearchFunc(s.entries(), seq, func(e sentInfo, seq uint64) int {
+		return cmp.Compare(e.seq, seq)
+	})
+	if !ok {
+		return -1
+	}
+	return i
+}
+
+// remove retires entries()[i], shifting whichever side is shorter.
+func (s *inflightSet) remove(i int) {
+	at := s.head + i
+	if i < s.len()/2 {
+		copy(s.buf[s.head+1:at+1], s.buf[s.head:at])
+		s.buf[s.head] = sentInfo{}
+		s.head++
+	} else {
+		copy(s.buf[at:], s.buf[at+1:])
+		s.buf = s.buf[:len(s.buf)-1]
+	}
+	if s.head == len(s.buf) {
+		s.buf, s.head = s.buf[:0], 0
+	}
 }
 
 // fastRetxDupAcks is the dup-ack threshold for fast retransmit: once this
@@ -133,15 +190,15 @@ type Conn struct {
 	queue  int
 	emit   func(sender int, p *pkt.Packet)
 
-	nextSeq  uint64
-	nextID   uint64
-	inflight map[uint64]*sentInfo
-	srtt     sim.Duration
-	pool     *pkt.Pool // packet free list; data packets are drawn here
+	nextSeq   uint64
+	nextID    uint64
+	inflight  inflightSet
+	srtt      sim.Duration
+	pool      *pkt.Pool // packet free list; data packets are drawn here
+	trySendFn func()    // c.trySend bound once, for pacing timers
 
 	// Per-read (RPC) completion tracking for tail-latency measurement.
-	readStart map[uint64]sim.Time
-	readAcked map[uint64]int
+	reads map[uint64]readState
 
 	paceUntil sim.Time // earliest next send when cwnd < 1
 	appUntil  sim.Time // earliest next send under the app rate limit
@@ -174,9 +231,7 @@ func NewConn(engine *sim.Engine, reg *metrics.Registry, cfg Config, cc Congestio
 		sender:    sender,
 		queue:     queue,
 		emit:      emit,
-		inflight:  make(map[uint64]*sentInfo),
-		readStart: make(map[uint64]sim.Time),
-		readAcked: make(map[uint64]int),
+		reads:     make(map[uint64]readState),
 		srtt:      20 * sim.Microsecond, // prior until measured
 		sent:      reg.Counter("transport.sent.packets"),
 		ackedB:    reg.Counter("transport.acked.bytes"),
@@ -186,6 +241,7 @@ func NewConn(engine *sim.Engine, reg *metrics.Registry, cfg Config, cc Congestio
 		hostDHist: reg.Histogram("transport.host.delay.ns"),
 		readHist:  reg.Histogram("transport.read.latency.ns"),
 	}
+	c.trySendFn = c.trySend
 	engine.Every(cfg.RetxScan, c.scanRetransmits)
 	return c, nil
 }
@@ -209,7 +265,7 @@ func (c *Conn) Flow() uint32 { return c.flow }
 func (c *Conn) SRTT() sim.Duration { return c.srtt }
 
 // InflightPackets returns the current outstanding packet count.
-func (c *Conn) InflightPackets() int { return len(c.inflight) }
+func (c *Conn) InflightPackets() int { return c.inflight.len() }
 
 // WarmState is a connection's serializable congestion state — the part
 // of steady state that takes many RTTs to re-learn on a cold start and
@@ -278,15 +334,15 @@ func (c *Conn) trySend() {
 		}
 		now := c.engine.Now()
 		if c.cfg.AppRateLimit > 0 && now < c.appUntil {
-			c.engine.At(c.appUntil, c.trySend)
+			c.engine.At(c.appUntil, c.trySendFn)
 			return
 		}
 		if cwnd < 1 {
-			if len(c.inflight) > 0 {
+			if c.inflight.len() > 0 {
 				return // sub-1 window: at most one packet outstanding
 			}
 			if now < c.paceUntil {
-				c.engine.At(c.paceUntil, c.trySend)
+				c.engine.At(c.paceUntil, c.trySendFn)
 				return
 			}
 			// ±15% deterministic jitter desynchronizes the hundreds of
@@ -297,7 +353,7 @@ func (c *Conn) trySend() {
 			c.sendOne()
 			return
 		}
-		if len(c.inflight) >= limit {
+		if c.inflight.len() >= limit {
 			return
 		}
 		c.sendOne()
@@ -313,12 +369,13 @@ func (c *Conn) sendOne() {
 	p := c.pool.Data(c.nextID, c.flow, c.queue, seq, c.cfg.MTU)
 	c.nextID++
 	p.ReqID = seq / uint64(c.cfg.ReadSize/c.cfg.MTU)
-	if _, started := c.readStart[p.ReqID]; !started {
+	if r := c.reads[p.ReqID]; !r.started {
 		// First packet of a 16 KB read: the RPC clock starts here
 		// (retransmissions do not reset it).
-		c.readStart[p.ReqID] = c.engine.Now()
+		r.start, r.started = c.engine.Now(), true
+		c.reads[p.ReqID] = r
 	}
-	c.inflight[seq] = &sentInfo{at: c.engine.Now(), payload: c.cfg.MTU}
+	c.inflight.add(sentInfo{seq: seq, at: c.engine.Now(), payload: c.cfg.MTU})
 	c.sent.Inc()
 	c.emit(c.sender, p)
 }
@@ -328,24 +385,33 @@ func (c *Conn) sendOne() {
 func (c *Conn) completeReadPacket(seq uint64) {
 	per := c.cfg.ReadSize / c.cfg.MTU
 	req := seq / uint64(per)
-	c.readAcked[req]++
-	if c.readAcked[req] < per {
+	r := c.reads[req]
+	r.acked++
+	if r.acked < per {
+		c.reads[req] = r
 		return
 	}
-	if start, ok := c.readStart[req]; ok {
-		c.readHist.Observe(float64(c.engine.Now().Sub(start)))
+	if r.started {
+		c.readHist.Observe(float64(c.engine.Now().Sub(r.start)))
 	}
-	delete(c.readStart, req)
-	delete(c.readAcked, req)
+	delete(c.reads, req)
+}
+
+// readState tracks one 16 KB read in flight.
+type readState struct {
+	start   sim.Time // first packet sent
+	started bool
+	acked   int // packets acknowledged so far
 }
 
 // OnAck processes an acknowledgement arriving from the fabric.
 func (c *Conn) OnAck(a *pkt.Packet) {
-	info, ok := c.inflight[a.AckSeq]
-	if !ok {
+	i := c.inflight.find(a.AckSeq)
+	if i < 0 {
 		return // duplicate ack for an already-retired packet
 	}
-	delete(c.inflight, a.AckSeq)
+	info := c.inflight.entries()[i]
+	c.inflight.remove(i)
 	c.completeReadPacket(a.AckSeq)
 	now := c.engine.Now()
 	rtt := now.Sub(info.at)
@@ -379,11 +445,9 @@ func (c *Conn) OnAck(a *pkt.Packet) {
 // Loss episodes then end within ~1 RTT instead of a full RTO.
 func (c *Conn) fastRetransmit(ackedSeq uint64) {
 	lost := false
-	for _, seq := range c.sortedInflight() {
-		if seq >= ackedSeq {
-			continue
-		}
-		info := c.inflight[seq]
+	es := c.inflight.entries()
+	for i := 0; i < len(es) && es[i].seq < ackedSeq; i++ {
+		info := &es[i]
 		info.laterAcks++
 		if info.laterAcks < fastRetxDupAcks {
 			continue
@@ -392,11 +456,7 @@ func (c *Conn) fastRetransmit(ackedSeq uint64) {
 		info.at = c.engine.Now()
 		info.retx++
 		info.laterAcks = 0
-		c.retx.Inc()
-		p := c.pool.Data(c.nextID, c.flow, c.queue, seq, info.payload)
-		c.nextID++
-		p.ReqID = seq / uint64(c.cfg.ReadSize/c.cfg.MTU)
-		c.emit(c.sender, p)
+		c.resend(info)
 	}
 	if lost {
 		c.losses.Inc()
@@ -404,16 +464,13 @@ func (c *Conn) fastRetransmit(ackedSeq uint64) {
 	}
 }
 
-// sortedInflight returns outstanding sequences in ascending order:
-// iterating the map directly would retransmit in random order and break
-// run reproducibility.
-func (c *Conn) sortedInflight() []uint64 {
-	seqs := make([]uint64, 0, len(c.inflight))
-	for seq := range c.inflight {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs
+// resend retransmits an outstanding sequence as a fresh packet.
+func (c *Conn) resend(info *sentInfo) {
+	c.retx.Inc()
+	p := c.pool.Data(c.nextID, c.flow, c.queue, info.seq, info.payload)
+	c.nextID++
+	p.ReqID = info.seq / uint64(c.cfg.ReadSize/c.cfg.MTU)
+	c.emit(c.sender, p)
 }
 
 // rto returns the current retransmission timeout.
@@ -432,8 +489,9 @@ func (c *Conn) scanRetransmits() {
 	now := c.engine.Now()
 	rto := c.rto()
 	lost := false
-	for _, seq := range c.sortedInflight() {
-		info := c.inflight[seq]
+	es := c.inflight.entries()
+	for i := range es {
+		info := &es[i]
 		// Exponential backoff per retransmission: the smoothed RTT lags
 		// badly when host queues balloon (Karn's rule excludes
 		// retransmitted samples), and without backoff a too-short RTO
@@ -457,11 +515,7 @@ func (c *Conn) scanRetransmits() {
 		info.at = now
 		info.retx++
 		info.laterAcks = 0
-		c.retx.Inc()
-		p := c.pool.Data(c.nextID, c.flow, c.queue, seq, info.payload)
-		c.nextID++
-		p.ReqID = seq / uint64(c.cfg.ReadSize/c.cfg.MTU)
-		c.emit(c.sender, p)
+		c.resend(info)
 	}
 	if lost {
 		c.losses.Inc()
@@ -486,6 +540,6 @@ func (c *Conn) Stats() Stats {
 		AckedBytes:    c.ackedB.Value(),
 		Retransmits:   c.retx.Value(),
 		LossEvents:    c.losses.Value(),
-		InflightCount: len(c.inflight),
+		InflightCount: c.inflight.len(),
 	}
 }
