@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench bench-json bench-fleet bench-compare bench-warm bench-serve bench-cold vet check check-tests figs cluster fuzz cover trace-demo clean
+.PHONY: all build test test-short bench bench-json bench-fleet bench-compare bench-warm bench-serve bench-cold vet check check-tests figs cluster fuzz cover trace-demo clean
 
 all: build test
 
@@ -33,7 +33,9 @@ check: check-tests bench-compare bench-warm bench-serve bench-cold
 # bounded-DES-point, disabled-observatory, and disabled-query-trace
 # properties are enforced by name under the plain runtime, and a 1x
 # smoke pass over the engine benchmarks so a compile break in the
-# hot-path benches fails CI.
+# hot-path benches fails CI. The last step vets and short-tests the
+# nested hicperf benchmark module, which the root ./... never compiles,
+# so an API break there fails CI instead of the next benchmark run.
 check-tests:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 20m ./...
@@ -43,6 +45,7 @@ check-tests:
 	$(GO) test -run 'TestObservatoryDisabledZeroAlloc' -count=1 ./internal/observatory/
 	$(GO) test -run 'TestServeTraceDisabledZeroAlloc' -count=1 ./internal/serve/
 	$(GO) test -run=NONE -bench=BenchmarkEngine -benchtime=1x ./internal/sim/
+	cd hicperf && $(GO) vet ./... && $(GO) test -short ./...
 
 # bench-compare is the bench-regression gate: a small smoke bench (400
 # fleet hosts instead of 10k — the compare tool skips rate sections at
@@ -54,7 +57,8 @@ check-tests:
 # count in the new report fails at any tolerance.
 bench-compare:
 	mkdir -p results
-	$(GO) run ./cmd/hicbench -out results/bench_smoke.json -fleet-hosts 400 -fleet-baseline-hosts 16 -no-warm -no-cold
+	$(GO) run ./cmd/hicbench -out results/bench_smoke.json -fleet-hosts 400 \
+		-sections engine,packet_path,fig6_scenario,observatory,fleet,fidelity,serve
 	$(GO) run ./cmd/hicbench -compare-tol 0.75 -compare BENCH_hotpath.json results/bench_smoke.json
 
 # bench-warm is the cross-run warm-start gate: a cold-then-warm fleet
@@ -65,7 +69,7 @@ bench-compare:
 # noise floor, see cmd/hicbench/compare.go).
 bench-warm:
 	mkdir -p results
-	$(GO) run ./cmd/hicbench -out results/bench_warm.json -fleet-hosts 400 -warm-only
+	$(GO) run ./cmd/hicbench -out results/bench_warm.json -sections warm_start -fleet-hosts 400
 	$(GO) run ./cmd/hicbench -compare-tol 0.75 -compare BENCH_hotpath.json results/bench_warm.json
 
 # bench-serve is the serving-layer gate: a coordinator plus two
@@ -81,7 +85,7 @@ bench-warm:
 # gate with the loose noise tolerance like every rate metric.
 bench-serve:
 	mkdir -p results
-	$(GO) run ./cmd/hicbench -out results/bench_serve.json -serve-only -serve-hosts 400
+	$(GO) run ./cmd/hicbench -out results/bench_serve.json -sections serve -serve-hosts 400
 	$(GO) run ./cmd/hicbench -compare-tol 0.75 -compare BENCH_hotpath.json results/bench_serve.json
 
 # bench-cold is the cold-path acceleration gate: the never-seen auto
@@ -95,7 +99,7 @@ bench-serve:
 # calibrations may not depend on shard order).
 bench-cold:
 	mkdir -p results
-	$(GO) run ./cmd/hicbench -out results/bench_cold.json -cold-only -cold-hosts 500
+	$(GO) run ./cmd/hicbench -out results/bench_cold.json -sections cold_path -cold-hosts 500
 	$(GO) run ./cmd/hicbench -compare-tol 0.75 -compare BENCH_hotpath.json results/bench_cold.json
 
 trace-demo:
@@ -107,23 +111,23 @@ trace-demo:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-json runs the hot-path comparison harness (current engine vs the
-# preserved pre-rewrite engine, pooled vs heap packet path, the Figure 6
-# scenario end to end, the fleet execution bench, the multi-fidelity
+# bench-json runs every hicbench section (the engine and pooled packet
+# path microbenchmarks, the Figure 6 scenario end to end with and
+# without the observatory, the fleet execution bench, the multi-fidelity
 # section: fluid vs DES per-point cost plus the -fidelity=auto fleet
-# against the pure-DES fleet, the warm-start section: the same
-# auto fleet cold then warm against one persistent calibration and
-# checkpoint store, and the serve section: one catalog query sharded
-# across a coordinator and two workers, cold and warm) and writes
-# BENCH_hotpath.json.
+# against the pure-DES fleet, the cold-path acceleration pair, the
+# warm-start section: the same auto fleet cold then warm against one
+# persistent calibration and checkpoint store, and the serve section:
+# one catalog query sharded across a coordinator and two workers, cold,
+# warm and traced) and writes BENCH_hotpath.json.
 bench-json:
 	$(GO) run ./cmd/hicbench -out BENCH_hotpath.json
 
 # bench-fleet is the fleet-execution smoke: a 10k-host Figure 1 fleet on
-# the pooled/deduplicated path against the goroutine-per-host baseline,
-# skipping the engine microbenchmarks.
+# the pooled/deduplicated path, then auto-routed, then cold-then-warm,
+# skipping the microbenchmarks.
 bench-fleet:
-	$(GO) run ./cmd/hicbench -fleet-only -fleet-hosts 10000
+	$(GO) run ./cmd/hicbench -sections fleet,fidelity,warm_start -fleet-hosts 10000
 
 figs:
 	$(GO) run ./cmd/hicfigs -outdir results

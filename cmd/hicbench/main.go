@@ -1,45 +1,54 @@
-// Command hicbench measures the simulator's hot path and writes the
-// results as JSON, comparing the current engine against the preserved
-// pre-rewrite implementation (internal/sim/legacy).
+// Command hicbench measures the simulator's hot paths and execution
+// layers and writes the results as JSON, or with -compare gates a new
+// report against a committed one (see compare.go).
 //
-//	hicbench                       # print BENCH_hotpath.json content
+//	hicbench                       # every section, JSON on stdout
 //	hicbench -out BENCH_hotpath.json
+//	hicbench -sections serve -serve-hosts 400 -out results/bench_serve.json
+//	hicbench -compare BENCH_hotpath.json results/bench_serve.json
 //
-// Four sections:
-//   - engine: schedule→fire and heap-churn microbenchmarks on both
-//     engines, with events/sec and the measured speedup ratio;
-//   - packet_path: one full pooled packet lifetime vs heap allocation;
+// -sections picks which of the nine sections run, named by their report
+// keys (default all; they always run in this order):
+//   - engine: schedule→fire churn with a retransmit-style timer armed
+//     and cancelled per fire, in ns/op, events/sec and allocations;
+//   - packet_path: one full pooled packet lifetime (data, ack, release);
 //   - fig6_scenario: the paper's Figure 6 memory-antagonist point run
 //     end to end, reporting wall-clock and simulated events/sec (the
 //     whole-simulator number the microbenchmarks feed into) and the
 //     point's heap allocations, build included;
+//   - observatory: the same point with the sim-time observatory
+//     sampling, against the sampler-off run;
 //   - fleet: a Figure 1 fleet on the pooled worker runner with
-//     singleflight dedup versus the pre-pool goroutine-per-host
-//     baseline, reporting hosts/sec, dedup rate, and peak memory;
+//     singleflight dedup, reporting hosts/sec, dedup rate, and peak
+//     memory;
 //   - fidelity: the multi-fidelity execution layer — per-point cost of
 //     the fluid solver vs full DES, and the same fleet re-run with
 //     -fidelity=auto routing (calibrated fluid + early stopping +
 //     audit), reporting hosts/sec, the routing counters, and the
-//     speedup over the pure-DES fleet section above;
+//     speedup over the pure-DES fleet section when it ran;
+//   - cold_path: the never-seen auto fleet with knee search and
+//     calibration transfer off then on, plus the sharded determinism
+//     check (see cold.go);
 //   - warm_start: the cross-run warm start — the auto-routed fleet run
 //     cold then warm against one persistent store (anchors reloaded,
 //     DES points resumed from checkpoints), plus one warm-resumed
 //     point's allocation profile for the regression gate;
 //   - serve: the long-lived serving layer — one catalog query run
-//     single-process, then cold and warm through a coordinator sharding
-//     ranges across two in-process workers over loopback HTTP, gating
-//     merged-aggregate byte-identity (hash_match) and worker residency
-//     (the warm query calibrates and simulates nothing).
+//     single-process, then cold, warm and traced through a coordinator
+//     sharding ranges across two in-process workers over loopback HTTP
+//     (see serve.go).
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"runtime"
-	"sync"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,7 +61,6 @@ import (
 	"hic/internal/runcache"
 	"hic/internal/runner"
 	"hic/internal/sim"
-	"hic/internal/sim/legacy"
 )
 
 // benchResult is one benchmark's headline numbers.
@@ -78,11 +86,11 @@ func toResult(r testing.BenchmarkResult, perOpEvents float64) benchResult {
 
 const churnDepth = 256
 
-// engineWorkload drives a fig6-like event mix against either engine:
+// engineWorkload drives a fig6-like event mix through the engine:
 // self-rescheduling events (DMA completion chains) at churn depth, plus
 // a cancelled timer per fire (the retransmit timer armed and disarmed
 // on every delivered packet).
-func newEngineWorkload(b *testing.B) {
+func engineWorkload(b *testing.B) {
 	e := sim.NewEngine(1)
 	target := uint64(b.N) + churnDepth
 	var pendingTimer sim.EventID
@@ -99,29 +107,6 @@ func newEngineWorkload(b *testing.B) {
 	}
 	for i := 0; i < churnDepth; i++ {
 		e.After(sim.Duration(1+e.RNG().Intn(997)), tick)
-	}
-	b.ResetTimer()
-	e.Run(math.MaxInt64 - 1)
-}
-
-func legacyEngineWorkload(b *testing.B) {
-	e := legacy.NewEngine()
-	rng := sim.NewRNG(1)
-	target := uint64(b.N) + churnDepth
-	var pendingTimer legacy.EventID
-	var tick func()
-	timerFn := func() {}
-	tick = func() {
-		if e.Processed() >= target {
-			e.Stop()
-			return
-		}
-		pendingTimer.Cancel()
-		pendingTimer = e.After(sim.Duration(5000), timerFn)
-		e.After(sim.Duration(1+rng.Intn(997)), tick)
-	}
-	for i := 0; i < churnDepth; i++ {
-		e.After(sim.Duration(1+rng.Intn(997)), tick)
 	}
 	b.ResetTimer()
 	e.Run(math.MaxInt64 - 1)
@@ -222,31 +207,23 @@ func runObservatory(off fig6Scenario) (observatoryBench, error) {
 	return ob, nil
 }
 
-// fleetBench compares the pooled, deduplicated fleet path against the
-// pre-pool execution model (one goroutine and one fresh engine per
-// host, no dedup). The baseline runs fewer hosts — its per-host cost is
-// host-count-independent, so hosts/sec extrapolates — and BaselineHosts
-// records how many were actually run. Peak memory is HeapInuse+
-// StackInuse sampled during the run (not VmHWM, which never shrinks).
+// fleetBench measures the pooled, deduplicated fleet path. Peak memory
+// is HeapInuse+StackInuse sampled during the run (not VmHWM, which
+// never shrinks).
 type fleetBench struct {
 	Hosts int `json:"hosts"`
 	// FidelityMode and Warm record how this fleet executed ("des"/"off"
 	// here) so -compare can refuse to gate rates across modes: a DES
 	// fleet and an auto-routed or warm-started fleet measure different
 	// work even at the same host count.
-	FidelityMode         string  `json:"fidelity_mode,omitempty"`
-	Warm                 string  `json:"warm,omitempty"`
-	WallSeconds          float64 `json:"wall_seconds"`
-	HostsPerSec          float64 `json:"hosts_per_sec"`
-	Simulated            uint64  `json:"simulated"`
-	Deduplicated         uint64  `json:"deduplicated"`
-	DedupRate            float64 `json:"dedup_rate"`
-	PeakMemBytes         uint64  `json:"peak_mem_bytes"`
-	BaselineHosts        int     `json:"baseline_hosts"`
-	BaselineWallSeconds  float64 `json:"baseline_wall_seconds"`
-	BaselineHostsPerSec  float64 `json:"baseline_hosts_per_sec"`
-	BaselinePeakMemBytes uint64  `json:"baseline_peak_mem_bytes"`
-	SpeedupRatio         float64 `json:"speedup_ratio"`
+	FidelityMode string  `json:"fidelity_mode,omitempty"`
+	Warm         string  `json:"warm,omitempty"`
+	WallSeconds  float64 `json:"wall_seconds"`
+	HostsPerSec  float64 `json:"hosts_per_sec"`
+	Simulated    uint64  `json:"simulated"`
+	Deduplicated uint64  `json:"deduplicated"`
+	DedupRate    float64 `json:"dedup_rate"`
+	PeakMemBytes uint64  `json:"peak_mem_bytes"`
 }
 
 // memPeak samples the Go heap while a workload runs and keeps the max.
@@ -297,8 +274,7 @@ func fleetConfig(hosts int) cluster.Config {
 	return cfg
 }
 
-func runFleet(hosts, baselineHosts int) (fleetBench, error) {
-	// Pooled path: shared worker pool, arena reuse, singleflight dedup.
+func runFleet(hosts int) (fleetBench, error) {
 	cfg := fleetConfig(hosts)
 	cfg.Progress = runner.NewProgress(os.Stderr, "fleet bench", "hosts", hosts, 5*time.Second)
 	mp := startMemPeak()
@@ -324,34 +300,6 @@ func runFleet(hosts, baselineHosts int) (fleetBench, error) {
 		fb.DedupRate = float64(st.Collapsed) / float64(total)
 	}
 
-	// Baseline: the pre-pool model — one goroutine per host, a fresh
-	// engine each, every host simulated.
-	bcfg := fleetConfig(baselineHosts)
-	mp = startMemPeak()
-	start = time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, baselineHosts)
-	for i := 0; i < baselineHosts; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p, _ := cluster.HostScenario(bcfg, i)
-			_, errs[i] = core.Run(p)
-		}(i)
-	}
-	wg.Wait()
-	fb.BaselineWallSeconds = time.Since(start).Seconds()
-	fb.BaselinePeakMemBytes = mp.Stop()
-	for _, err := range errs {
-		if err != nil {
-			return fleetBench{}, err
-		}
-	}
-	fb.BaselineHosts = baselineHosts
-	fb.BaselineHostsPerSec = float64(baselineHosts) / fb.BaselineWallSeconds
-	if fb.BaselineHostsPerSec > 0 {
-		fb.SpeedupRatio = fb.HostsPerSec / fb.BaselineHostsPerSec
-	}
 	return fb, nil
 }
 
@@ -611,19 +559,12 @@ type report struct {
 	GoVersion string `json:"go_version"`
 	GOARCH    string `json:"goarch"`
 	Engine    struct {
-		New          benchResult `json:"new"`
-		Legacy       benchResult `json:"legacy"`
-		SpeedupRatio float64     `json:"speedup_ratio"`
+		New benchResult `json:"new"`
 	} `json:"engine"`
 	PacketPath struct {
 		Pooled benchResult `json:"pooled"`
-		Heap   benchResult `json:"heap"`
 	} `json:"packet_path"`
-	// Fig6 runs with the free lists on (the default); Fig6NoPools runs
-	// the same scenario with event and packet recycling disabled, the
-	// whole-figure before/after for the allocation-free hot path.
-	Fig6        fig6Scenario `json:"fig6_scenario"`
-	Fig6NoPools fig6Scenario `json:"fig6_scenario_no_pools"`
+	Fig6 fig6Scenario `json:"fig6_scenario"`
 	// Observatory is the sim-time observatory's overhead on the fig6
 	// scenario: sampler on vs off.
 	Observatory observatoryBench `json:"observatory"`
@@ -646,191 +587,182 @@ type report struct {
 	Serve serveBench `json:"serve"`
 }
 
-var heapSink *pkt.Packet
+// sections are the report sections -sections selects from, named by
+// their JSON keys, in the order they run.
+var sections = []string{
+	"engine", "packet_path", "fig6_scenario", "observatory",
+	"fleet", "fidelity", "cold_path", "warm_start", "serve",
+}
 
-func main() {
-	out := flag.String("out", "", "write JSON here instead of stdout")
-	fleetHosts := flag.Int("fleet-hosts", 10000, "fleet-bench size on the pooled path (0 skips the fleet bench)")
-	fleetBaseline := flag.Int("fleet-baseline-hosts", 256, "hosts for the goroutine-per-host baseline (hosts/sec extrapolates)")
-	fleetOnly := flag.Bool("fleet-only", false, "run only the fleet bench, skipping the engine and packet microbenchmarks")
+// config is hicbench's parsed command line.
+type config struct {
+	out      string
+	sections []string // selected, in run order
+
+	fleetHosts, coldHosts, serveHosts     int
+	fidelityTol, auditRate, warmAuditRate float64
+
+	compareOld, compareNew string
+	compareTol             float64
+
+	obs *obs.Flags
+}
+
+// parseArgs parses the command line. Any error is a usage error and
+// has already been reported on stderr.
+func parseArgs(args []string) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("hicbench", flag.ContinueOnError)
+	usage := func(format string, a ...any) (config, error) {
+		err := fmt.Errorf(format, a...)
+		fmt.Fprintf(fs.Output(), "hicbench: %v\n", err)
+		return c, err
+	}
+	fs.StringVar(&c.out, "out", "", "write JSON here instead of stdout")
+	list := fs.String("sections", strings.Join(sections, ","), "comma-separated report sections to run")
+	fs.IntVar(&c.fleetHosts, "fleet-hosts", 10000, "fleet size for the fleet, fidelity and warm_start sections")
 	// 0.10 is the bench's routing tolerance (the CLIs default to a more
 	// conservative 0.05): the routing gate only admits points bounded
 	// under 0.7×tol = 7%, and the audit verifies the observed error
 	// stays under tol on every sampled point.
-	fidelityTol := flag.Float64("fidelity-tol", 0.10, "auto-routing tolerance for the fidelity fleet bench")
-	auditRate := flag.Float64("audit-rate", 0.05, "fraction of fluid-routed hosts shadow-run under DES in the fidelity fleet bench")
-	noFidelity := flag.Bool("no-fidelity", false, "skip the fidelity (auto-routed fleet) section")
-	coldHosts := flag.Int("cold-hosts", 10000, "fleet size for the cold_path (knee search + calibration transfer) section (0 skips it)")
-	noCold := flag.Bool("no-cold", false, "skip the cold_path (cold-path acceleration) section")
-	coldOnly := flag.Bool("cold-only", false, "run only the cold_path section, skipping everything else")
-	warmAuditRate := flag.Float64("warm-audit-rate", 0.05, "fraction of warm-startable points re-run cold under DES in the warm-start fleet bench")
-	noWarm := flag.Bool("no-warm", false, "skip the warm_start (cold-then-warm fleet) section")
-	warmOnly := flag.Bool("warm-only", false, "run only the warm_start section, skipping everything else")
-	serveHosts := flag.Int("serve-hosts", 400, "catalog-query size for the serve (coordinator + 2 workers) section (0 skips it)")
-	noServe := flag.Bool("no-serve", false, "skip the serve (sharded coordinator) section")
-	serveOnly := flag.Bool("serve-only", false, "run only the serve section, skipping everything else")
-	compareOld := flag.String("compare", "", "regression gate: compare this baseline JSON against the new JSON given as the positional argument, exit non-zero on regression (no benches run)")
-	compareTol := flag.Float64("compare-tol", 0.25, "allowed relative degradation for noisy (timing/rate) metrics with -compare; allocation counts are exact-class and tolerate nothing")
-	obsFlags := obs.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-
-	if *compareOld != "" {
-		newPath := flag.Arg(0)
-		if newPath == "" {
-			fmt.Fprintln(os.Stderr, "usage: hicbench -compare <old.json> <new.json>")
-			os.Exit(2)
+	fs.Float64Var(&c.fidelityTol, "fidelity-tol", 0.10, "auto-routing tolerance for the auto-routed fleet sections")
+	fs.Float64Var(&c.auditRate, "audit-rate", 0.05, "fraction of fluid-routed hosts shadow-run under DES in the auto-routed fleet sections")
+	fs.IntVar(&c.coldHosts, "cold-hosts", 10000, "fleet size for the cold_path (knee search + calibration transfer) section")
+	fs.Float64Var(&c.warmAuditRate, "warm-audit-rate", 0.05, "fraction of warm-startable points re-run cold under DES in the warm_start section")
+	fs.IntVar(&c.serveHosts, "serve-hosts", 400, "catalog-query size for the serve (coordinator + 2 workers) section")
+	fs.StringVar(&c.compareOld, "compare", "", "regression gate: compare this baseline JSON against the new JSON given as the positional argument, exit non-zero on regression (no benches run)")
+	fs.Float64Var(&c.compareTol, "compare-tol", 0.25, "allowed relative degradation for noisy (timing/rate) metrics with -compare; allocation counts are exact-class and tolerate nothing")
+	c.obs = obs.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	if c.compareOld != "" {
+		if c.compareNew = fs.Arg(0); c.compareNew == "" {
+			return usage("-compare needs two reports: hicbench -compare <old.json> <new.json>")
 		}
-		os.Exit(runCompare(*compareOld, newPath, *compareTol))
+		return c, nil
+	}
+
+	want := strings.Split(*list, ",")
+	for _, name := range want {
+		if !slices.Contains(sections, name) {
+			return usage("unknown section %q in -sections (known: %s)", name, strings.Join(sections, ","))
+		}
+	}
+	for _, name := range sections {
+		if slices.Contains(want, name) {
+			c.sections = append(c.sections, name)
+		}
+	}
+	if c.fleetHosts <= 0 || c.coldHosts <= 0 || c.serveHosts <= 0 {
+		return usage("-fleet-hosts, -cold-hosts and -serve-hosts must be positive")
+	}
+	return c, nil
+}
+
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the whole command; it returns the exit code: 0 on success, 1
+// when a bench or the regression gate fails, 2 on a usage error.
+func run(args []string) int {
+	c, err := parseArgs(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if err != nil {
+		return 2
+	}
+	if c.compareOld != "" {
+		return runCompare(c.compareOld, c.compareNew, c.compareTol)
+	}
+	fail := func(what string, err error) int {
+		fmt.Fprintf(os.Stderr, "hicbench: %s: %v\n", what, err)
+		return 1
 	}
 
 	var orun *obs.Run // nil-safe
-	if srv, err := obsFlags.Start(os.Stderr); err != nil {
-		fmt.Fprintf(os.Stderr, "hicbench: %v\n", err)
-		os.Exit(1)
+	if srv, err := c.obs.Start(os.Stderr); err != nil {
+		return fail("control plane", err)
 	} else if srv != nil {
 		defer srv.Close()
 		srv.AddSource(runner.Shared())
-		orun = srv.StartRun("bench", 9, "engine", "packet_path", "fig6", "observatory", "fleet", "fidelity", "cold_path", "warm_start", "serve")
+		orun = srv.StartRun("bench", int64(len(c.sections)), c.sections...)
 		defer orun.Finish()
 	}
 
 	var rep report
 	rep.GoVersion = runtime.Version()
 	rep.GOARCH = runtime.GOARCH
-
-	if !*fleetOnly && !*warmOnly && !*serveOnly && !*coldOnly {
-		// Each workload processes ~1 event per op (the churn fires one event
-		// and schedules one replacement plus a timer arm/cancel pair).
-		orun.SetPhase("engine")
-		rep.Engine.New = toResult(testing.Benchmark(newEngineWorkload), 1)
-		rep.Engine.Legacy = toResult(testing.Benchmark(legacyEngineWorkload), 1)
-		if rep.Engine.New.NsPerOp > 0 {
-			rep.Engine.SpeedupRatio = rep.Engine.Legacy.NsPerOp / rep.Engine.New.NsPerOp
-		}
-		orun.Advance(1)
-
-		orun.SetPhase("packet_path")
-		rep.PacketPath.Pooled = toResult(testing.Benchmark(packetPathWorkload), 0)
-		rep.PacketPath.Heap = toResult(testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := pkt.NewData(uint64(i), 1, 0, uint64(i), 4096)
-				a := pkt.NewAck(uint64(i), p)
-				heapSink = p
-				heapSink = a
+	for _, name := range c.sections {
+		orun.SetPhase(name)
+		switch name {
+		case "engine":
+			// Each op processes ~1 event (the churn fires one event and
+			// schedules one replacement plus a timer arm/cancel pair).
+			rep.Engine.New = toResult(testing.Benchmark(engineWorkload), 1)
+		case "packet_path":
+			rep.PacketPath.Pooled = toResult(testing.Benchmark(packetPathWorkload), 0)
+		case "fig6_scenario":
+			if rep.Fig6, err = runFig6(); err != nil {
+				return fail("fig6 scenario", err)
 			}
-		}), 0)
-		orun.Advance(1)
-
-		orun.SetPhase("fig6")
-		fig6, err := runFig6()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hicbench: fig6 scenario: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Fig6 = fig6
-
-		sim.SetEventPooling(false)
-		pkt.SetPooling(false)
-		noPools, err := runFig6()
-		sim.SetEventPooling(true)
-		pkt.SetPooling(true)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hicbench: fig6 scenario (no pools): %v\n", err)
-			os.Exit(1)
-		}
-		rep.Fig6NoPools = noPools
-		orun.Advance(1)
-
-		orun.SetPhase("observatory")
-		ob, err := runObservatory(fig6)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hicbench: observatory bench: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Observatory = ob
-		orun.Advance(1)
-	}
-
-	if *fleetHosts > 0 && !*warmOnly && !*serveOnly && !*coldOnly {
-		orun.SetPhase("fleet")
-		fleet, err := runFleet(*fleetHosts, *fleetBaseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hicbench: fleet bench: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Fleet = fleet
-		orun.Advance(1)
-
-		if !*noFidelity {
-			orun.SetPhase("fidelity")
-			fid, err := runFleetFidelity(*fleetHosts, *fidelityTol, *auditRate, fleet.HostsPerSec)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hicbench: fidelity bench: %v\n", err)
-				os.Exit(1)
+		case "observatory":
+			off := rep.Fig6
+			if off.WallSeconds == 0 { // fig6_scenario not selected: measure the sampler-off run here
+				if off, err = runFig6(); err != nil {
+					return fail("observatory bench", err)
+				}
 			}
-			rep.Fidelity = fid
-			orun.Advance(1)
+			if rep.Observatory, err = runObservatory(off); err != nil {
+				return fail("observatory bench", err)
+			}
+		case "fleet":
+			if rep.Fleet, err = runFleet(c.fleetHosts); err != nil {
+				return fail("fleet bench", err)
+			}
+		case "fidelity":
+			if rep.Fidelity, err = runFleetFidelity(c.fleetHosts, c.fidelityTol, c.auditRate, rep.Fleet.HostsPerSec); err != nil {
+				return fail("fidelity bench", err)
+			}
+		case "cold_path":
+			// Reuse the fidelity section's pass as the baseline when it ran
+			// the identical configuration at the same scale.
+			var fid *fidelityBench
+			if rep.Fidelity.Hosts > 0 {
+				fid = &rep.Fidelity
+			}
+			if rep.ColdPath, err = runColdPath(c.coldHosts, c.fidelityTol, c.auditRate, fid); err != nil {
+				return fail("cold-path bench", err)
+			}
+		case "warm_start":
+			if rep.WarmStart, err = runWarmStart(c.fleetHosts, c.fidelityTol, c.auditRate, c.warmAuditRate); err != nil {
+				return fail("warm-start bench", err)
+			}
+		case "serve":
+			if rep.Serve, err = runServe(c.serveHosts, c.fidelityTol); err != nil {
+				return fail("serve bench", err)
+			}
 		}
-	}
-
-	if *coldHosts > 0 && !*noCold && !*fleetOnly && !*warmOnly && !*serveOnly {
-		orun.SetPhase("cold_path")
-		// Reuse the fidelity section's pass as the baseline when it ran
-		// the identical configuration at the same scale.
-		var fid *fidelityBench
-		if rep.Fidelity.Hosts > 0 {
-			fid = &rep.Fidelity
-		}
-		cold, err := runColdPath(*coldHosts, *fidelityTol, *auditRate, fid)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hicbench: cold-path bench: %v\n", err)
-			os.Exit(1)
-		}
-		rep.ColdPath = cold
-		orun.Advance(1)
-	}
-
-	if *fleetHosts > 0 && !*noWarm && !*serveOnly && !*coldOnly {
-		orun.SetPhase("warm_start")
-		warm, err := runWarmStart(*fleetHosts, *fidelityTol, *auditRate, *warmAuditRate)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hicbench: warm-start bench: %v\n", err)
-			os.Exit(1)
-		}
-		rep.WarmStart = warm
-		orun.Advance(1)
-	}
-
-	if *serveHosts > 0 && !*noServe && !*fleetOnly && !*warmOnly && !*coldOnly {
-		orun.SetPhase("serve")
-		sb, err := runServe(*serveHosts, *fidelityTol)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hicbench: serve bench: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Serve = sb
 		orun.Advance(1)
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hicbench: %v\n", err)
-		os.Exit(1)
+		return fail("encoding report", err)
 	}
 	data = append(data, '\n')
-	if *out == "" {
+	if c.out == "" {
 		os.Stdout.Write(data)
-		return
+		return 0
 	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "hicbench: %v\n", err)
-		os.Exit(1)
+	if err := os.WriteFile(c.out, data, 0o644); err != nil {
+		return fail("writing report", err)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (engine speedup %.2fx, fig6 %.1fM events/s, fleet %.1f hosts/s %.2fx, auto %.1f hosts/s %.2fx, cold %.1f hosts/s %.2fx, warm %.1f hosts/s %.2fx, serve scaling %.2fx warm %.2fx)\n",
-		*out, rep.Engine.SpeedupRatio, rep.Fig6.EventsPerSec/1e6,
-		rep.Fleet.HostsPerSec, rep.Fleet.SpeedupRatio,
+	fmt.Fprintf(os.Stderr, "wrote %s (sections %s; fig6 %.1fM events/s, fleet %.1f hosts/s, auto %.1f hosts/s %.2fx, cold %.1f hosts/s %.2fx, warm %.1f hosts/s %.2fx, serve scaling %.2fx warm %.2fx)\n",
+		c.out, strings.Join(c.sections, ","), rep.Fig6.EventsPerSec/1e6, rep.Fleet.HostsPerSec,
 		rep.Fidelity.HostsPerSec, rep.Fidelity.SpeedupVsDES,
 		rep.ColdPath.ColdHostsPerSec, rep.ColdPath.Speedup,
 		rep.WarmStart.WarmHostsPerSec, rep.WarmStart.WarmSpeedup,
 		rep.Serve.ScalingRatio, rep.Serve.WarmSpeedup)
+	return 0
 }

@@ -1,7 +1,9 @@
 // Command hiccap decodes a packet capture written by hicsim -capture
 // (the wire format) and prints either a per-packet listing or a summary.
 // It can also re-export the capture as a Chrome trace (one slice per
-// packet's fabric flight, sender → NIC arrival) or as Prometheus metrics.
+// packet's fabric flight, sender → NIC arrival, on one track per receive
+// queue in first-appearance order, timed from the first packet's send)
+// or as Prometheus metrics.
 //
 //	hicsim -capture run.cap ...
 //	hiccap -summary run.cap
@@ -19,7 +21,9 @@ import (
 	"sort"
 
 	"hic/internal/metrics"
+	"hic/internal/pkt"
 	"hic/internal/telemetry"
+	"hic/internal/trace"
 	"hic/internal/wire"
 )
 
@@ -52,7 +56,7 @@ func main() {
 	total := 0
 	listing := !*summary && *traceOut == "" && *metricsOut == ""
 
-	var capEvents []telemetry.CaptureEvent
+	var flights []trace.WallSpan
 	var reg *metrics.Registry
 	var fabricDelay *metrics.Histogram
 	if *metricsOut != "" {
@@ -80,17 +84,7 @@ func main() {
 			fs.bytes += uint64(p.PayloadBytes)
 		}
 		if *traceOut != "" {
-			capEvents = append(capEvents, telemetry.CaptureEvent{
-				Name:  p.Kind.String(),
-				Queue: p.Queue,
-				Start: p.SentAt,
-				End:   p.NICArrival,
-				Args: map[string]any{
-					"flow":    float64(p.Flow),
-					"seq":     float64(p.Seq),
-					"payload": float64(p.PayloadBytes),
-				},
-			})
+			flights = append(flights, flight(p))
 		}
 		if reg != nil {
 			reg.Counter("capture.packets." + p.Kind.String()).Inc()
@@ -107,29 +101,21 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		tf, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hiccap: %v\n", err)
-			os.Exit(1)
-		}
-		if err := telemetry.WriteCaptureTrace(tf, "hic capture", capEvents); err != nil {
+		if err := writeFile(*traceOut, func(w io.Writer) error {
+			return trace.WriteChromeWallSpans(w, "hic capture", flights)
+		}); err != nil {
 			fmt.Fprintf(os.Stderr, "hiccap: writing %s: %v\n", *traceOut, err)
 			os.Exit(1)
 		}
-		tf.Close()
-		fmt.Fprintf(os.Stderr, "wrote %s (%d packets)\n", *traceOut, len(capEvents))
+		fmt.Fprintf(os.Stderr, "wrote %s (%d packets)\n", *traceOut, len(flights))
 	}
 	if reg != nil {
-		mf, err := os.Create(*metricsOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hiccap: %v\n", err)
-			os.Exit(1)
-		}
-		if err := telemetry.WritePrometheus(mf, reg.Snapshot()); err != nil {
+		if err := writeFile(*metricsOut, func(w io.Writer) error {
+			return telemetry.WritePrometheus(w, reg.Snapshot())
+		}); err != nil {
 			fmt.Fprintf(os.Stderr, "hiccap: writing %s: %v\n", *metricsOut, err)
 			os.Exit(1)
 		}
-		mf.Close()
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *metricsOut)
 	}
 
@@ -146,4 +132,34 @@ func main() {
 		}
 		fmt.Fprintf(out, "\ntotal: %d packets, %d flows\n", total, len(flows))
 	}
+}
+
+// flight renders one captured packet's fabric flight (sender to NIC
+// arrival, simulated ns) as a slice on its receive queue's track.
+func flight(p *pkt.Packet) trace.WallSpan {
+	return trace.WallSpan{
+		Name:    p.Kind.String(),
+		Track:   fmt.Sprintf("rx-queue-%d", p.Queue),
+		StartNs: int64(p.SentAt),
+		EndNs:   int64(p.NICArrival),
+		Args: map[string]float64{
+			"flow":    float64(p.Flow),
+			"seq":     float64(p.Seq),
+			"payload": float64(p.PayloadBytes),
+		},
+	}
+}
+
+// writeFile creates path, renders into it, and returns the first error
+// from rendering or closing, so a short write never reports success.
+func writeFile(path string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := render(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

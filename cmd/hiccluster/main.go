@@ -54,16 +54,13 @@ func main() {
 	measureMS := flag.Int("measure-ms", 12, "per-host measurement window (ms)")
 	warmupMS := flag.Int("warmup-ms", 0, "override per-host warmup window (ms)")
 	csv := flag.Bool("csv", false, "emit per-host CSV instead of the scatter (streams: RSS stays bounded at any fleet size)")
-	useCache := flag.Bool("cache", false, "memoize per-host results in the content-addressed run cache (single-window fleets only)")
-	cacheDir := flag.String("cache-dir", runcache.DefaultDir, "run-cache directory (with -cache)")
-	cacheURL := flag.String("cache-url", "", "share a hicserve coordinator's run cache over HTTP instead of -cache-dir (implies -cache)")
-	cacheMaxMB := flag.Int("cache-max-mb", 0, "prune the run cache and warm store to this size at startup, oldest entries first (0 = unbounded)")
 	noDedup := flag.Bool("no-dedup", false, "disable singleflight dedup of byte-identical hosts (never changes results; for benchmarking)")
 	progress := flag.Bool("progress", true, "report progress, rate, and ETA on stderr")
 	verbose := flag.Bool("v", false, "print cache and dedup statistics on stderr")
 	incidentsOut := flag.String("incidents-out", "", "attach the sim-time observatory and append per-host congestion episodes as JSONL here ('-' = stdout; forces full DES)")
 	timelinesOut := flag.String("timelines-out", "", "with the observatory attached, also export each host's retained signal timeline as JSONL here")
 	observeEvery := flag.Int("observe-every-us", 100, "observatory sampling interval in sim µs")
+	cacheFlags := runcache.RegisterFlags(flag.CommandLine)
 	fid := fidelity.RegisterFlags(flag.CommandLine, fidelity.ModeDES)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -79,18 +76,14 @@ func main() {
 	cfg.NoDedup = *noDedup
 	cfg.Log = os.Stderr
 
-	var store *runcache.Store
-	if *cacheURL != "" {
-		store = runcache.OpenRemote(*cacheURL)
-		cfg.Cache = store
-	} else if *useCache {
-		var err error
-		if store, err = runcache.Open(*cacheDir); err != nil {
-			fmt.Fprintf(os.Stderr, "hiccluster: %v\n", err)
-			os.Exit(1)
-		}
-		cfg.Cache = store
+	// The run cache memoizes single-window fleets only (RunStream skips
+	// it for multi-window hosts and counts them).
+	store, err := cacheFlags.Open()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hiccluster: %v\n", err)
+		os.Exit(1)
 	}
+	cfg.Cache = store
 	router, err := fid.Router(store, cluster.SeedPool(cfg), nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hiccluster: %v\n", err)
@@ -103,20 +96,7 @@ func main() {
 	if router != nil {
 		warmStore = router.WarmStore()
 	}
-	if *cacheMaxMB > 0 {
-		budget := int64(*cacheMaxMB) << 20
-		for _, s := range []*runcache.Store{store, warmStore} {
-			if s == nil {
-				continue
-			}
-			if removed, freed, perr := s.Prune(budget); perr != nil {
-				fmt.Fprintf(os.Stderr, "hiccluster: pruning %s: %v\n", s.Dir(), perr)
-			} else if removed > 0 && *verbose {
-				fmt.Fprintf(os.Stderr, "pruned %d entries (%.1f MB) from %s\n",
-					removed, float64(freed)/(1<<20), s.Dir())
-			}
-		}
-	}
+	runcache.PruneStores(os.Stderr, cacheFlags.MaxMB, store, warmStore)
 
 	var collector *observatory.Collector
 	var flushers []func() error

@@ -38,11 +38,8 @@ func main() {
 	replicates := flag.Int("replicates", 1, "runs per point with derived seeds (fig3 cells become mean±ci95)")
 	measureMS := flag.Int("measure-ms", 0, "override measurement window (ms)")
 	outdir := flag.String("outdir", "", "also write per-experiment CSV files here")
-	useCache := flag.Bool("cache", false, "memoize per-point results in the content-addressed run cache")
-	cacheDir := flag.String("cache-dir", runcache.DefaultDir, "run-cache directory (with -cache)")
-	cacheURL := flag.String("cache-url", "", "share a hicserve coordinator's run cache over HTTP instead of -cache-dir (implies -cache)")
-	cacheMaxMB := flag.Int("cache-max-mb", 0, "prune the run cache and warm store to this size at startup, oldest entries first (0 = unbounded)")
 	incidents := flag.Bool("incidents", false, "run the fig6 antagonist point with the sim-time observatory and print its congestion episodes, then exit")
+	cacheFlags := runcache.RegisterFlags(flag.CommandLine)
 	fid := fidelity.RegisterFlags(flag.CommandLine, fidelity.ModeDES)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -62,16 +59,12 @@ func main() {
 		}
 		return
 	}
-	if *cacheURL != "" {
-		store := runcache.OpenRemote(*cacheURL)
-		opt.Cache = store
-		defer func() { fmt.Fprintf(os.Stderr, "run cache: %s\n", store.Summary()) }()
-	} else if *useCache {
-		store, err := runcache.Open(*cacheDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hicfigs: %v\n", err)
-			os.Exit(1)
-		}
+	store, err := cacheFlags.Open()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hicfigs: %v\n", err)
+		os.Exit(1)
+	}
+	if store != nil {
 		opt.Cache = store
 		defer func() { fmt.Fprintf(os.Stderr, "run cache: %s\n", store.Summary()) }()
 	}
@@ -99,20 +92,7 @@ func main() {
 	if router != nil {
 		warmStore = router.WarmStore()
 	}
-	if *cacheMaxMB > 0 {
-		budget := int64(*cacheMaxMB) << 20
-		for _, s := range []*runcache.Store{opt.Cache, warmStore} {
-			if s == nil {
-				continue
-			}
-			if removed, freed, perr := s.Prune(budget); perr != nil {
-				fmt.Fprintf(os.Stderr, "hicfigs: pruning %s: %v\n", s.Dir(), perr)
-			} else if removed > 0 {
-				fmt.Fprintf(os.Stderr, "pruned %d entries (%.1f MB) from %s\n",
-					removed, float64(freed)/(1<<20), s.Dir())
-			}
-		}
-	}
+	runcache.PruneStores(os.Stderr, cacheFlags.MaxMB, store, warmStore)
 
 	var ids []string
 	if *fig == "all" {

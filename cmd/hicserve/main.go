@@ -153,20 +153,7 @@ func runCoordinator(addr, cacheDir, warmDir string, cacheMaxMB int,
 			fatalf("%v", err)
 		}
 	}
-	if cacheMaxMB > 0 {
-		budget := int64(cacheMaxMB) << 20
-		for _, s := range []*runcache.Store{store, warmStore} {
-			if s == nil {
-				continue
-			}
-			if removed, freed, perr := s.Prune(budget); perr != nil {
-				fmt.Fprintf(os.Stderr, "hicserve: pruning %s: %v\n", s.Dir(), perr)
-			} else if removed > 0 && verbose {
-				fmt.Fprintf(os.Stderr, "pruned %d entries (%.1f MB) from %s\n",
-					removed, float64(freed)/(1<<20), s.Dir())
-			}
-		}
-	}
+	runcache.PruneStores(os.Stderr, cacheMaxMB, store, warmStore)
 
 	// The control plane shares the coordinator's mux (serve.Options.Obs →
 	// obs.(*Server).Register); -listen on the same address would try to

@@ -14,12 +14,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"hic/internal/core"
 	"hic/internal/sim"
 	"hic/internal/telemetry"
 	"hic/internal/trace"
+	"hic/internal/wire"
 )
 
 func main() {
@@ -94,6 +96,7 @@ func main() {
 		telem = tb.EnableSpans(*spanRate)
 	}
 	var capFile *os.File
+	var capture *wire.Writer
 	if *capturePath != "" {
 		var err error
 		capFile, err = os.Create(*capturePath)
@@ -101,13 +104,16 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hicsim: %v\n", err)
 			os.Exit(1)
 		}
-		cw := tb.EnableCapture(capFile)
-		defer func() {
-			fmt.Fprintf(os.Stderr, "wrote %s (%d packets)\n", *capturePath, cw.Count())
-			capFile.Close()
-		}()
+		capture = tb.EnableCapture(capFile)
 	}
 	res := tb.Run(p.Warmup, p.Measure)
+	if capFile != nil {
+		if err := capFile.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "hicsim: writing %s: %v\n", *capturePath, err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s (%d packets)\n", *capturePath, capture.Count())
+	}
 	if rec != nil {
 		if err := os.WriteFile(*tracePath, []byte(rec.Wide()), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "hicsim: %v\n", err)
@@ -137,35 +143,41 @@ func main() {
 			fmt.Print(led.Table())
 		}
 		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hicsim: %v\n", err)
-				os.Exit(1)
-			}
-			if err := telemetry.WriteChromeTrace(f, telem); err != nil {
+			if err := writeFile(*traceOut, func(w io.Writer) error {
+				return telemetry.WriteChromeTrace(w, telem)
+			}); err != nil {
 				fmt.Fprintf(os.Stderr, "hicsim: writing %s: %v\n", *traceOut, err)
 				os.Exit(1)
 			}
-			f.Close()
 			fmt.Fprintf(os.Stderr, "wrote %s (%d spans, %d drop events)\n",
 				*traceOut, len(tr.Spans()), len(led.Events()))
 		}
 	}
 	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hicsim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := telemetry.WritePrometheus(f, tb.Registry.Snapshot()); err != nil {
+		if err := writeFile(*metricsOut, func(w io.Writer) error {
+			return telemetry.WritePrometheus(w, tb.Registry.Snapshot())
+		}); err != nil {
 			fmt.Fprintf(os.Stderr, "hicsim: writing %s: %v\n", *metricsOut, err)
 			os.Exit(1)
 		}
-		f.Close()
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *metricsOut)
 	}
 	if *verbose {
 		fmt.Println("\n--- metric registry ---")
 		fmt.Print(tb.Registry.Dump())
 	}
+}
+
+// writeFile creates path, renders into it, and returns the first error
+// from rendering or closing, so a short write never reports success.
+func writeFile(path string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := render(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -44,11 +44,8 @@ func main() {
 	spanRate := flag.Float64("span-rate", 0.01, "span sampling rate per grid point (with -telemetry-out)")
 	incidentsOut := flag.String("incidents-out", "", "run each point with the sim-time observatory and write one JSONL incident-report line per grid point to this file (forces full DES)")
 	observeEvery := flag.Int("observe-every-us", 100, "observatory sampling interval in sim µs (with -incidents-out)")
-	useCache := flag.Bool("cache", false, "memoize per-point results in the content-addressed run cache (ignored with -telemetry-out)")
-	cacheDir := flag.String("cache-dir", runcache.DefaultDir, "run-cache directory (with -cache)")
-	cacheURL := flag.String("cache-url", "", "share a hicserve coordinator's run cache over HTTP instead of -cache-dir (implies -cache)")
-	cacheMaxMB := flag.Int("cache-max-mb", 0, "prune the run cache and warm store to this size at startup, oldest entries first (0 = unbounded)")
 	verbose := flag.Bool("v", false, "print detailed run-cache counters on stderr (with -cache)")
+	cacheFlags := runcache.RegisterFlags(flag.CommandLine)
 	fid := fidelity.RegisterFlags(flag.CommandLine, fidelity.ModeDES)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -83,15 +80,12 @@ func main() {
 		os.Exit(2)
 	}
 
+	// Instrumented sweeps always simulate, so they never open the cache.
 	var store *runcache.Store
 	if *telemetryOut == "" && *incidentsOut == "" {
-		if *cacheURL != "" {
-			store = runcache.OpenRemote(*cacheURL)
-		} else if *useCache {
-			if store, err = runcache.Open(*cacheDir); err != nil {
-				fmt.Fprintf(os.Stderr, "hicsweep: %v\n", err)
-				os.Exit(1)
-			}
+		if store, err = cacheFlags.Open(); err != nil {
+			fmt.Fprintf(os.Stderr, "hicsweep: %v\n", err)
+			os.Exit(1)
 		}
 	}
 
@@ -104,20 +98,7 @@ func main() {
 	if router != nil {
 		warmStore = router.WarmStore()
 	}
-	if *cacheMaxMB > 0 {
-		budget := int64(*cacheMaxMB) << 20
-		for _, s := range []*runcache.Store{store, warmStore} {
-			if s == nil {
-				continue
-			}
-			if removed, freed, perr := s.Prune(budget); perr != nil {
-				fmt.Fprintf(os.Stderr, "hicsweep: pruning %s: %v\n", s.Dir(), perr)
-			} else if removed > 0 && *verbose {
-				fmt.Fprintf(os.Stderr, "pruned %d entries (%.1f MB) from %s\n",
-					removed, float64(freed)/(1<<20), s.Dir())
-			}
-		}
-	}
+	runcache.PruneStores(os.Stderr, cacheFlags.MaxMB, store, warmStore)
 
 	if srv, err := obsFlags.Start(os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "hicsweep: %v\n", err)

@@ -1,16 +1,16 @@
 // Package legacy preserves the original container/heap event engine as
-// a benchmark baseline. It is the implementation internal/sim shipped
+// a test reference. It is the implementation internal/sim shipped
 // with before the hot-path rewrite: a binary heap driven through the
 // container/heap interface (one `any`-boxing allocation per push), a
 // freshly allocated event struct per schedule, lazy cancellation (dead
 // events linger in the heap until popped), and a new closure per ticker
 // tick.
 //
-// Nothing in the simulator uses this package; it exists so
-// cmd/hicbench and the engine benchmarks can report a measured
-// before/after ratio for the same workload. Behavior is identical to
-// internal/sim — events compare by (time, insertion sequence) — so both
-// engines execute the same callback sequence for the same schedule.
+// Nothing in the simulator or its benchmarks uses this package; only
+// internal/sim's tests do, as an independent implementation of the same
+// contract: events compare by (time, insertion sequence), so both
+// engines must execute the same callback sequence for the same schedule
+// (TestLegacyEngineMatchesRewrite, and the ticker-lane ordering test).
 package legacy
 
 import (

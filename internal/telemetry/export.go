@@ -1,11 +1,11 @@
-// Exporters: Chrome trace_event JSON (chrome://tracing / Perfetto),
-// Prometheus text exposition of a metrics snapshot, and a per-stage
-// latency-breakdown table for the CLI. All output is deterministic for a
-// given input so telemetry artifacts are byte-reproducible per seed.
+// Exporters: Chrome trace_event JSON (chrome://tracing / Perfetto,
+// rendered through internal/trace's encoder), Prometheus text
+// exposition of a metrics snapshot, and a per-stage latency-breakdown
+// table for the CLI. All output is deterministic for a given input so
+// telemetry artifacts are byte-reproducible per seed.
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"regexp"
@@ -14,22 +14,8 @@ import (
 	"hic/internal/asciiplot"
 	"hic/internal/metrics"
 	"hic/internal/sim"
+	"hic/internal/trace"
 )
-
-// chromeEvent is one trace_event record. Field order (and json.Marshal's
-// sorted map keys for Args) keeps the output stable.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat,omitempty"`
-	Ph    string         `json:"ph"`
-	Ts    float64        `json:"ts"` // microseconds
-	Dur   float64        `json:"dur,omitempty"`
-	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
-	ID    string         `json:"id,omitempty"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
 
 func usec(t sim.Time) float64 { return float64(t) / 1e3 }
 
@@ -43,8 +29,8 @@ func usec(t sim.Time) float64 { return float64(t) / 1e3 }
 // release at once). Stage annotations ride in args. Drops appear as
 // thread-scoped instant events named by their attributed cause.
 func WriteChromeTrace(w io.Writer, run *Run) error {
-	var events []chromeEvent
-	events = append(events, chromeEvent{
+	var events []trace.Event
+	events = append(events, trace.Event{
 		Name: "process_name", Ph: "M", Pid: 1, Cat: "__metadata",
 		Args: map[string]any{"name": "hic receiver host"},
 	})
@@ -66,7 +52,7 @@ func WriteChromeTrace(w io.Writer, run *Run) error {
 	}
 	sort.Ints(qsorted)
 	for _, q := range qsorted {
-		events = append(events, chromeEvent{
+		events = append(events, trace.Event{
 			Name: "thread_name", Ph: "M", Pid: 1, Tid: q + 1, Cat: "__metadata",
 			Args: map[string]any{"name": fmt.Sprintf("rx-queue-%d", q)},
 		})
@@ -79,7 +65,7 @@ func WriteChromeTrace(w io.Writer, run *Run) error {
 			if end == 0 {
 				end = sp.cursor // unfinished span: close at its covered prefix
 			}
-			events = append(events, chromeEvent{
+			events = append(events, trace.Event{
 				Name: "dma", Cat: "dma", Ph: "b", Ts: usec(sp.Start),
 				Pid: 1, Tid: sp.Queue + 1, ID: id,
 				Args: map[string]any{
@@ -96,12 +82,12 @@ func WriteChromeTrace(w io.Writer, run *Run) error {
 					args[a.Key] = a.Value
 				}
 				events = append(events,
-					chromeEvent{Name: st.Stage.String(), Cat: "dma", Ph: "b",
+					trace.Event{Name: st.Stage.String(), Cat: "dma", Ph: "b",
 						Ts: usec(st.Enter), Pid: 1, Tid: sp.Queue + 1, ID: id, Args: args},
-					chromeEvent{Name: st.Stage.String(), Cat: "dma", Ph: "e",
+					trace.Event{Name: st.Stage.String(), Cat: "dma", Ph: "e",
 						Ts: usec(st.Exit), Pid: 1, Tid: sp.Queue + 1, ID: id})
 			}
-			events = append(events, chromeEvent{
+			events = append(events, trace.Event{
 				Name: "dma", Cat: "dma", Ph: "e", Ts: usec(end),
 				Pid: 1, Tid: sp.Queue + 1, ID: id,
 			})
@@ -110,7 +96,7 @@ func WriteChromeTrace(w io.Writer, run *Run) error {
 
 	if run.Drops != nil {
 		for _, ev := range run.Drops.Events() {
-			events = append(events, chromeEvent{
+			events = append(events, trace.Event{
 				Name: "drop:" + ev.Cause.String(), Cat: "drop", Ph: "i",
 				Ts: usec(ev.At), Pid: 1, Tid: ev.Queue + 1, Scope: "t",
 				Args: map[string]any{
@@ -125,77 +111,7 @@ func WriteChromeTrace(w io.Writer, run *Run) error {
 		}
 	}
 
-	return writeChromeEvents(w, events)
-}
-
-// writeChromeEvents emits the trace_event envelope, one event per line.
-func writeChromeEvents(w io.Writer, events []chromeEvent) error {
-	if _, err := io.WriteString(w, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	for i, ev := range events {
-		if i > 0 {
-			if _, err := io.WriteString(w, ",\n"); err != nil {
-				return err
-			}
-		}
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "\n]}\n")
-	return err
-}
-
-// CaptureEvent is one complete (begin+duration) observation for
-// WriteCaptureTrace — hiccap uses it to render a wire capture as a
-// Chrome trace without access to live Span objects.
-type CaptureEvent struct {
-	// Name labels the slice (e.g. the packet kind).
-	Name string
-	// Queue selects the track; tracks are named "rx-queue-<q>".
-	Queue int
-	// Start and End bound the slice in simulation time.
-	Start, End sim.Time
-	// Args are optional annotations shown in the trace viewer.
-	Args map[string]any
-}
-
-// WriteCaptureTrace renders capture-derived events as Chrome trace_event
-// JSON: one complete ("X") slice per event on its queue's track. Events
-// are emitted in input order; output is deterministic for a given input.
-func WriteCaptureTrace(w io.Writer, name string, evs []CaptureEvent) error {
-	events := []chromeEvent{{
-		Name: "process_name", Ph: "M", Pid: 1, Cat: "__metadata",
-		Args: map[string]any{"name": name},
-	}}
-	queues := map[int]bool{}
-	for _, ev := range evs {
-		queues[ev.Queue] = true
-	}
-	qsorted := make([]int, 0, len(queues))
-	for q := range queues {
-		qsorted = append(qsorted, q)
-	}
-	sort.Ints(qsorted)
-	for _, q := range qsorted {
-		events = append(events, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 1, Tid: q + 1, Cat: "__metadata",
-			Args: map[string]any{"name": fmt.Sprintf("rx-queue-%d", q)},
-		})
-	}
-	for _, ev := range evs {
-		events = append(events, chromeEvent{
-			Name: ev.Name, Cat: "wire", Ph: "X", Ts: usec(ev.Start),
-			Dur: usec(ev.End) - usec(ev.Start), Pid: 1, Tid: ev.Queue + 1,
-			Args: ev.Args,
-		})
-	}
-	return writeChromeEvents(w, events)
+	return trace.WriteEvents(w, events)
 }
 
 var promUnsafe = regexp.MustCompile(`[^a-zA-Z0-9_]`)

@@ -192,24 +192,3 @@ func TestRunSummary(t *testing.T) {
 		t.Errorf("summary not JSON-encodable: %v", err)
 	}
 }
-
-func TestWriteCaptureTrace(t *testing.T) {
-	evs := []CaptureEvent{
-		{Name: "data", Queue: 0, Start: 1000, End: 6000, Args: map[string]any{"seq": 1.0}},
-		{Name: "data", Queue: 1, Start: 2000, End: 7500},
-	}
-	var buf bytes.Buffer
-	if err := WriteCaptureTrace(&buf, "test capture", evs); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	// 1 process metadata + 2 thread metadata + 2 slices.
-	if len(doc.TraceEvents) != 5 {
-		t.Errorf("got %d events, want 5", len(doc.TraceEvents))
-	}
-}

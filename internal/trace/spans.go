@@ -1,11 +1,14 @@
-// Wall-clock span export: the distributed-serve counterpart to the
-// sim-time series recorder. A sharded query's lifecycle (queue wait,
-// prefetch barrier, per-worker range leases, merge) is a set of
-// WallSpans collected by the coordinator; WriteChromeWallSpans renders
-// them in Chrome trace_event JSON — the same format telemetry's
-// sim-time exporter emits — so Perfetto shows the query as one process
-// with one track per span track name (the coordinator plus each
-// worker).
+// Chrome trace_event export. Event and WriteEvents are the repo's one
+// trace_event encoder: telemetry's sim-time span exporter and the
+// wall-clock span writer below both render through them, so every
+// Perfetto-loadable file the tools write shares one record layout and
+// one envelope.
+//
+// Wall-clock span export: a sharded query's lifecycle (queue wait,
+// prefetch barrier, per-worker range leases, merge), a benchmark's
+// instrumented phases, or a decoded packet capture is a set of
+// WallSpans; WriteChromeWallSpans renders them as one process with one
+// track per span track name.
 package trace
 
 import (
@@ -14,6 +17,44 @@ import (
 	"io"
 	"sort"
 )
+
+// Event is one trace_event record. Field order (and json.Marshal's
+// sorted map keys for Args) keeps the output byte-stable.
+type Event struct {
+	Name  string         `json:"name"`
+	Cat   string         `json:"cat,omitempty"`
+	Ph    string         `json:"ph"`
+	Ts    float64        `json:"ts"` // microseconds since the trace origin
+	Dur   float64        `json:"dur,omitempty"`
+	Pid   int            `json:"pid"`
+	Tid   int            `json:"tid"`
+	ID    string         `json:"id,omitempty"`
+	Scope string         `json:"s,omitempty"`
+	Args  map[string]any `json:"args,omitempty"`
+}
+
+// WriteEvents emits the trace_event envelope, one event per line.
+func WriteEvents(w io.Writer, events []Event) error {
+	if _, err := io.WriteString(w, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"); err != nil {
+		return err
+	}
+	for i, ev := range events {
+		if i > 0 {
+			if _, err := io.WriteString(w, ",\n"); err != nil {
+				return err
+			}
+		}
+		b, err := json.Marshal(ev)
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+	}
+	_, err := io.WriteString(w, "\n]}\n")
+	return err
+}
 
 // WallSpan is one wall-clock slice on a named track. Times are Unix
 // nanoseconds; the writer normalizes them so the earliest span starts
@@ -32,20 +73,6 @@ type WallSpan struct {
 	Args map[string]float64 `json:"args,omitempty"`
 }
 
-// wallEvent is one trace_event record. A subset of telemetry's
-// chromeEvent (this package stays a leaf: stdlib only), with the same
-// field order so the two exporters' outputs read alike.
-type wallEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"` // microseconds since the trace origin
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // WriteChromeWallSpans renders wall-clock spans as Chrome trace_event
 // JSON (the format chrome://tracing and Perfetto load): one process
 // named process, one thread per distinct Track (tid assigned in
@@ -55,7 +82,7 @@ type wallEvent struct {
 // identical relative timing. Output is deterministic for a given span
 // slice (json.Marshal sorts Args keys).
 func WriteChromeWallSpans(w io.Writer, process string, spans []WallSpan) error {
-	events := []wallEvent{{
+	events := []Event{{
 		Name: "process_name", Ph: "M", Pid: 1, Cat: "__metadata",
 		Args: map[string]any{"name": process},
 	}}
@@ -65,7 +92,7 @@ func WriteChromeWallSpans(w io.Writer, process string, spans []WallSpan) error {
 	for i, sp := range spans {
 		if _, ok := tids[sp.Track]; !ok {
 			tids[sp.Track] = len(tids) + 1
-			events = append(events, wallEvent{
+			events = append(events, Event{
 				Name: "thread_name", Ph: "M", Pid: 1, Tid: tids[sp.Track], Cat: "__metadata",
 				Args: map[string]any{"name": sp.Track},
 			})
@@ -86,33 +113,14 @@ func WriteChromeWallSpans(w io.Writer, process string, spans []WallSpan) error {
 				args[k] = v
 			}
 		}
-		events = append(events, wallEvent{
+		events = append(events, Event{
 			Name: sp.Name, Cat: "serve", Ph: "X",
 			Ts:  float64(sp.StartNs-origin) / 1e3,
 			Dur: float64(sp.EndNs-sp.StartNs) / 1e3,
 			Pid: 1, Tid: tids[sp.Track], Args: args,
 		})
 	}
-
-	if _, err := io.WriteString(w, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	for i, ev := range events {
-		if i > 0 {
-			if _, err := io.WriteString(w, ",\n"); err != nil {
-				return err
-			}
-		}
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "\n]}\n")
-	return err
+	return WriteEvents(w, events)
 }
 
 // SortWallSpans orders spans by start time, then track, then name —
