@@ -21,7 +21,8 @@ test-short:
 # (bench-compare, bench-warm, bench-serve, and bench-cold).
 check: check-tests bench-compare bench-warm bench-serve bench-cold
 
-# check-tests: vet, the race-enabled test suite, a focused race pass
+# check-tests: a gofmt gate (any file `gofmt -l .` lists fails), vet,
+# the race-enabled test suite, a focused race pass
 # over the worker pool and singleflight layers (their concurrency tests
 # are the dedup/arena safety gate) and over the observatory (its
 # collector takes concurrent Note/MetricsInto reads during fleet runs),
@@ -37,6 +38,8 @@ check: check-tests bench-compare bench-warm bench-serve bench-cold
 # nested hicperf benchmark module, which the root ./... never compiles,
 # so an API break there fails CI instead of the next benchmark run.
 check-tests:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race -timeout 20m ./...
 	$(GO) test -race -count=2 ./internal/runner/ ./internal/runcache/ ./internal/observatory/

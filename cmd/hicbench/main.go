@@ -55,6 +55,7 @@ import (
 	"hic/internal/cluster"
 	"hic/internal/core"
 	"hic/internal/fidelity"
+	"hic/internal/host"
 	"hic/internal/obs"
 	"hic/internal/observatory"
 	"hic/internal/pkt"
@@ -535,19 +536,30 @@ func runWarmStart(hosts int, tol, auditRate, warmAuditRate float64) (warmStartBe
 	// turn a repeated planned run into a map lookup.
 	p := core.DefaultParams(4)
 	p.Warmup, p.Measure = 2*sim.Millisecond, 3*sim.Millisecond
-	_, snap, err := core.RunAndSnapshotOn(p, nil)
+	donor, err := core.Start(p, nil)
 	if err != nil {
 		return wb, err
 	}
+	donor.Run(host.StopRule{})
+	snap := donor.Testbed.Snapshot()
 	p2 := p
 	p2.Seed = 42
 	guard := core.DefaultWarmGuard(p2)
-	if _, err := core.RunWarmOn(p2, snap, guard, nil); err != nil { // pool warm-up outside the timed loop
+	warmPoint := func() error {
+		s, err := core.Start(p2, nil)
+		if err != nil {
+			return err
+		}
+		s.Prime(snap, guard)
+		s.Run(host.StopRule{})
+		return nil
+	}
+	if err := warmPoint(); err != nil { // pool warm-up outside the timed loop
 		return wb, err
 	}
 	wb.WarmPoint = toResult(testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RunWarmOn(p2, snap, guard, nil); err != nil {
+			if err := warmPoint(); err != nil {
 				b.Fatal(err)
 			}
 		}

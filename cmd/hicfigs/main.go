@@ -22,6 +22,7 @@ import (
 	"hic/internal/core"
 	"hic/internal/experiments"
 	"hic/internal/fidelity"
+	"hic/internal/host"
 	"hic/internal/obs"
 	"hic/internal/observatory"
 	"hic/internal/runcache"
@@ -172,10 +173,13 @@ func printFig6Incidents(w io.Writer, seed uint64) error {
 	p := core.DefaultParams(12)
 	p.AntagonistCores = 8
 	p.Seed = seed
-	res, rep, err := core.RunObserved(p, observatory.DefaultConfig())
+	s, err := core.Start(p, nil)
 	if err != nil {
 		return err
 	}
+	mon := observatory.Attach(s.Testbed, observatory.DefaultConfig())
+	res, _ := s.Run(host.StopRule{})
+	rep := mon.Report()
 	fmt.Fprintf(w, "fig6 antagonist point (seed %d): %.2f Gbps, %.3f%% drops, %d samples, %d episodes, %s congested\n",
 		seed, res.AppThroughputGbps, res.DropRatePct, rep.Samples, len(rep.Episodes), sim.Duration(rep.CongestedNs))
 	if len(rep.Episodes) == 0 {

@@ -135,11 +135,9 @@ func main() {
 		// points the fluid solver would serve — those carry no spans and
 		// are skipped (and counted) by the JSONL exporter instead of being
 		// written as empty records.
-		rows, err = sweep.RunDetailedVia(spec, routerExec(router), *spanRate)
-	} else if router != nil {
-		rows, err = sweep.RunCachedVia(spec, router, store)
+		rows, err = sweep.RunDetailed(spec, routerExec(router), *spanRate)
 	} else {
-		rows, err = sweep.RunCached(spec, store)
+		rows, err = sweep.Run(spec, routerExec(router), store)
 	}
 	if router != nil {
 		defer func() {

@@ -28,7 +28,7 @@ func main() {
 		on.Warmup, on.Measure = 10*sim.Millisecond, 15*sim.Millisecond
 		off := on
 		off.IOMMU = false
-		rs, err := core.RunMany([]core.Params{on, off})
+		rs, err := core.RunMany(nil, []core.Params{on, off}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

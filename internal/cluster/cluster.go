@@ -37,6 +37,7 @@ import (
 
 	"hic/internal/core"
 	"hic/internal/fidelity"
+	"hic/internal/host"
 	"hic/internal/obs"
 	"hic/internal/observatory"
 	"hic/internal/runcache"
@@ -383,6 +384,35 @@ func InstallRoster(cfg Config, r *fidelity.Router) {
 	r.SetRoster(ps)
 }
 
+// desExec is the fleet's pure-DES executor when no other is
+// configured: it keys results exactly like core.DES and counts every
+// simulation it actually runs (cache and dedup hits excluded) into
+// Stats.Simulated. With an observatory it attaches the monitor and
+// memoizes the host's report under the scenario key.
+type desExec struct {
+	simulated *atomic.Uint64
+	obsv      *observatory.Collector
+}
+
+func (e desExec) Plan(p core.Params) (string, func(*runner.Arena) (core.Results, error), error) {
+	return core.SimVersion, func(a *runner.Arena) (core.Results, error) {
+		e.simulated.Add(1)
+		s, err := core.Start(p, a)
+		if err != nil {
+			return core.Results{}, err
+		}
+		var mon *observatory.Monitor
+		if e.obsv != nil {
+			mon = observatory.Attach(s.Testbed, e.obsv.SamplerConfig())
+		}
+		res, _ := s.Run(host.StopRule{})
+		if mon != nil {
+			e.obsv.Memo(p.CacheKey(), mon.Report())
+		}
+		return res, nil
+	}, nil
+}
+
 // RouterDelta converts a router counter delta (after minus before) into
 // the execution-accounting fields of Stats. RunRange and serve's
 // prefetch leases share it so router work folds identically into fleet
@@ -505,6 +535,9 @@ func RunRange(cfg Config, lo, hi int, emit func(Point) error) (Stats, error) {
 		pool = runner.Shared()
 	}
 	var simulated atomic.Uint64
+	if exec == nil {
+		exec = desExec{simulated: &simulated, obsv: obsv}
+	}
 	agg := newAggregator()
 	err := runner.MapOrdered(pool, n,
 		func(i int, a *runner.Arena) (hostOut, error) {
@@ -525,49 +558,15 @@ func RunRange(cfg Config, lo, hi int, emit func(Point) error) (Stats, error) {
 			}
 			p, meta := HostScenario(cfg, host)
 			if windows == 1 {
-				var r core.Results
+				// The executor decides strategy and cache salt per host
+				// and accounts its own executions. An observed host's
+				// report was memoized by whichever worker simulated the
+				// scenario; flight.Do returns only after that compute
+				// finished, so a dedup-collapsed host finds it too.
+				r, err := core.RunOnVia(exec, p, cache, flight, a)
 				var rep *observatory.HostReport
-				var err error
-				switch {
-				case exec != nil:
-					// The executor decides strategy and cache salt per
-					// host; its own counters account the executions.
-					r, err = core.RunOnVia(exec, p, cache, flight, a)
-				case obsv != nil:
-					// Memoize the report under the scenario key so a
-					// dedup-collapsed host replays it: flight.Do returns
-					// only after the winning compute finished, so the
-					// memo entry is always present by then.
-					key := p.CacheKey()
-					compute := func() (core.Results, error) {
-						simulated.Add(1)
-						res, hr, rerr := core.RunObservedOn(p, obsv.SamplerConfig(), a)
-						if rerr == nil {
-							obsv.Memo(key, hr)
-						}
-						return res, rerr
-					}
-					if flight != nil {
-						r, err = flight.Do(key, compute)
-					} else {
-						r, err = compute()
-					}
-					if err == nil {
-						rep = obsv.Lookup(key)
-					}
-				default:
-					compute := func() (core.Results, error) {
-						simulated.Add(1)
-						return core.RunOn(p, a)
-					}
-					switch {
-					case cache != nil:
-						r, err = cache.GetOrCompute(p.CacheKey(), core.SimVersion, p.Canonical(), compute)
-					case flight != nil:
-						r, err = flight.Do(p.CacheKey(), compute)
-					default:
-						r, err = compute()
-					}
+				if obsv != nil && err == nil {
+					rep = obsv.Lookup(p.CacheKey())
 				}
 				if err != nil {
 					return hostOut{}, err

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"hic/internal/runcache"
-	"hic/internal/runner"
 )
 
 // SimVersion salts every cache key. Bump it whenever a change anywhere
@@ -68,54 +67,4 @@ func (p Params) Canonical() string {
 // version salt and the canonical parameter encoding.
 func (p Params) CacheKey() string {
 	return runcache.Key(SimVersion, p.Canonical())
-}
-
-// RunCached executes one scenario through the cache: a stored result
-// for the same Params and SimVersion is returned as-is (bit-identical
-// to a cold run, because the simulator is deterministic per seed);
-// otherwise the scenario runs and the result is stored. A nil cache
-// degrades to Run.
-func RunCached(p Params, cache *runcache.Store) (Results, error) {
-	return runCachedOn(p, cache, nil, nil)
-}
-
-// runCachedOn is the single execution funnel for the pool workers: it
-// normalizes the windows (so the key reflects what actually runs),
-// consults the store and/or a batch-local singleflight, and computes
-// misses on the worker's arena. cache, flight, and arena may each be
-// nil; with all three nil it degrades to Run. When a store is present
-// its own singleflight collapses concurrent duplicates, so the
-// batch-local flight is only used store-less.
-func runCachedOn(p Params, cache *runcache.Store, flight *runcache.Flight, a *runner.Arena) (Results, error) {
-	if cache == nil && flight == nil {
-		return RunOn(p, a)
-	}
-	p.normalizeWindows()
-	canonical := p.Canonical()
-	key := runcache.Key(SimVersion, canonical)
-	compute := func() (Results, error) { return RunOn(p, a) }
-	if cache != nil {
-		return cache.GetOrCompute(key, SimVersion, canonical, compute)
-	}
-	return flight.Do(key, compute)
-}
-
-// RunManyCached is RunMany with a result cache: hits skip simulation
-// entirely, misses run and populate the store. Order and error
-// semantics match RunMany; a nil cache degrades to RunMany.
-func RunManyCached(ps []Params, cache *runcache.Store) ([]Results, error) {
-	return runMany(ps, cache)
-}
-
-// RunReplicatedCached is RunReplicated with a result cache.
-func RunReplicatedCached(p Params, n int, cache *runcache.Store) ([]Results, error) {
-	if n < 1 {
-		n = 1
-	}
-	ps := make([]Params, n)
-	for i := range ps {
-		ps[i] = p
-		ps[i].Seed = p.Seed + uint64(i)*0x9e3779b97f4a7c15
-	}
-	return runMany(ps, cache)
 }

@@ -12,6 +12,13 @@
 // byte-identical duplicate scenarios are collapsed to one simulation by
 // in-process singleflight. Each simulation remains single-threaded and
 // deterministic for its seed, so sweeps are both fast and reproducible.
+//
+// There is one way to run a point. An Executor plans it (nil or DES{}
+// is pure DES), RunOnVia turns the plan into a result through the run
+// cache or a singleflight, and RunMany fans RunOnVia out over the pool.
+// Callers that need the testbed itself — telemetry spans, the
+// observatory, warm-start priming, snapshots — compose a Session:
+// Start, the optional steps, then Session.Run.
 package core
 
 import (
@@ -23,10 +30,8 @@ import (
 	"hic/internal/model"
 	"hic/internal/obs"
 	"hic/internal/pkt"
-	"hic/internal/runcache"
 	"hic/internal/runner"
 	"hic/internal/sim"
-	"hic/internal/telemetry"
 	"hic/internal/transport"
 	"hic/internal/transport/dctcp"
 	"hic/internal/transport/swift"
@@ -285,19 +290,11 @@ func Run(p Params) (Results, error) {
 // reallocated, which is what makes fleet-scale fan-out allocation-flat.
 // A nil arena is exactly Run.
 func RunOn(p Params, a *runner.Arena) (Results, error) {
-	p.normalizeWindows()
-	tb, err := p.BuildOn(a)
+	s, err := Start(p, a)
 	if err != nil {
 		return Results{}, err
 	}
-	res := tb.Run(p.Warmup, p.Measure)
-	// Fold the completed run's registry into the control plane's
-	// fleet-cumulative rollup. Snapshotting here is safe — the run is
-	// done and the arena is still exclusively ours — and the disabled
-	// path costs one atomic load and a nil check.
-	if s := obs.Default(); s != nil {
-		s.RunMetrics(tb.Registry.Snapshot())
-	}
+	res, _ := s.Run(host.StopRule{})
 	return res, nil
 }
 
@@ -311,88 +308,56 @@ func (p *Params) normalizeWindows() {
 	}
 }
 
-// RunInstrumented executes one scenario with pipeline telemetry enabled
-// at the given span-sampling rate and returns the measurement results
-// alongside the telemetry run (sampled spans + drop ledger), ready for
-// the internal/telemetry exporters. Sampling decisions come from an
-// engine-forked RNG, so the same Params and rate reproduce the same
-// spans byte for byte.
-func RunInstrumented(p Params, spanRate float64) (Results, *telemetry.Run, error) {
-	return RunInstrumentedOn(p, spanRate, nil)
+// Session is one scenario's testbed between build and measurement.
+// Start builds it; callers compose the optional steps they need —
+// Prime for a warm start, Testbed.EnableSpans for pipeline telemetry,
+// observatory.Attach for the sim-time observatory — and finish with
+// Run. Testbed.Snapshot after Run captures the converged state for
+// later warm starts.
+type Session struct {
+	// Testbed is the built, not-yet-started testbed.
+	Testbed *host.Testbed
+
+	warmup, measure sim.Duration
 }
 
-// RunInstrumentedOn is RunInstrumented on a worker arena (nil arena
-// builds fresh substrate).
-func RunInstrumentedOn(p Params, spanRate float64, a *runner.Arena) (Results, *telemetry.Run, error) {
+// Start normalizes p's windows and builds its testbed on the arena (nil
+// builds fresh substrate). The session is returned by value so a point
+// costs no allocation beyond its testbed; keep it in a variable and call
+// its methods there.
+func Start(p Params, a *runner.Arena) (Session, error) {
 	p.normalizeWindows()
 	tb, err := p.BuildOn(a)
 	if err != nil {
-		return Results{}, nil, err
+		return Session{}, err
 	}
-	run := tb.EnableSpans(spanRate)
-	res := tb.Run(p.Warmup, p.Measure)
-	return res, run, nil
+	return Session{Testbed: tb, warmup: p.Warmup, measure: p.Measure}, nil
 }
 
-// RunMany executes scenarios on the shared worker pool and returns
-// results in input order. Byte-identical Params are simulated once and
-// the result shared (the simulator is deterministic per seed, so this is
-// invisible in the output). The first build/run error aborts the sweep.
-func RunMany(ps []Params) ([]Results, error) {
-	return runMany(ps, nil)
+// Prime warm-starts the session from a donor snapshot: the testbed is
+// primed with snap and runs the guard window in place of the full
+// warmup. Warm-started results are approximate; see DefaultWarmGuard.
+func (s *Session) Prime(snap host.Snapshot, guard sim.Duration) {
+	s.Testbed.Prime(snap)
+	s.warmup = guard
 }
 
-// runMany is the shared sweep executor; cache may be nil. Without a
-// store, a batch-local singleflight still collapses duplicate Params
-// within the batch.
-func runMany(ps []Params, cache *runcache.Store) ([]Results, error) {
-	results := make([]Results, len(ps))
-	var flight *runcache.Flight
-	if cache == nil {
-		flight = runcache.NewFlight(true)
+// Run warms up and measures under a steady-state stopping rule and
+// reports whether the rule ended the run early. The zero rule runs the
+// full windows (host.Testbed.RunAdaptive is then exactly Run); any
+// other rule is fitted to the measure (host.StopRule.Fit) so short
+// fleet windows still stop early, deterministically per Params.
+//
+// Every run folds its registry into the control plane's
+// fleet-cumulative /metrics rollup: the run is done and the arena still
+// exclusively ours, and the disabled path costs one atomic load and a
+// nil check.
+func (s *Session) Run(rule host.StopRule) (Results, bool) {
+	res, stopped := s.Testbed.RunAdaptive(s.warmup, s.measure, rule.Fit(s.measure))
+	if sink := obs.Default(); sink != nil {
+		sink.RunMetrics(s.Testbed.Registry.Snapshot())
 	}
-	err := runner.Shared().Map(len(ps), func(i int, a *runner.Arena) error {
-		r, err := runCachedOn(ps[i], cache, flight, a)
-		if err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// RunEach executes scenarios on the shared worker pool and streams
-// results to emit in input order, without materializing the whole result
-// slice — the fleet-scale path where memory stays O(workers), not
-// O(scenarios). Duplicate Params are deduplicated exactly as in RunMany.
-// A non-nil emit error aborts the sweep and is returned.
-func RunEach(ps []Params, cache *runcache.Store, emit func(i int, r Results) error) error {
-	var flight *runcache.Flight
-	if cache == nil {
-		flight = runcache.NewFlight(true)
-	}
-	return runner.MapOrdered(runner.Shared(), len(ps),
-		func(i int, a *runner.Arena) (Results, error) {
-			return runCachedOn(ps[i], cache, flight, a)
-		}, emit)
-}
-
-// RunReplicated executes the scenario n times with derived seeds and
-// returns all results, for mean±CI reporting across seed noise.
-func RunReplicated(p Params, n int) ([]Results, error) {
-	if n < 1 {
-		n = 1
-	}
-	ps := make([]Params, n)
-	for i := range ps {
-		ps[i] = p
-		ps[i].Seed = p.Seed + uint64(i)*0x9e3779b97f4a7c15
-	}
-	return RunMany(ps)
+	return res, stopped
 }
 
 // ModeledThroughput evaluates the paper's Little's-law bound for a

@@ -122,7 +122,7 @@ func TestBurstDutyLowersUtilization(t *testing.T) {
 
 func TestRunManyOrderAndParallel(t *testing.T) {
 	ps := []Params{quickParams(2), quickParams(4), quickParams(6)}
-	rs, err := RunMany(ps)
+	rs, err := RunMany(nil, ps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestRunManyOrderAndParallel(t *testing.T) {
 func TestRunManyPropagatesError(t *testing.T) {
 	bad := quickParams(2)
 	bad.CC = "bogus"
-	if _, err := RunMany([]Params{quickParams(2), bad}); err == nil {
+	if _, err := RunMany(nil, []Params{quickParams(2), bad}, nil); err == nil {
 		t.Error("sweep error not propagated")
 	}
 }

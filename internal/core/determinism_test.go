@@ -118,14 +118,14 @@ func TestCacheHitMatchesColdRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := goldenParams("fig6", 1)
-	cold, err := core.RunCached(p, store)
+	cold, err := core.RunOnVia(nil, p, store, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if store.Misses() != 1 || store.Hits() != 0 {
 		t.Fatalf("cold run: hits=%d misses=%d, want 0/1", store.Hits(), store.Misses())
 	}
-	warm, err := core.RunCached(p, store)
+	warm, err := core.RunOnVia(nil, p, store, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestCacheHitMatchesColdRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, err := core.RunCached(p, store2)
+	disk, err := core.RunOnVia(nil, p, store2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

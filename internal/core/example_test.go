@@ -30,7 +30,7 @@ func ExampleRunMany() {
 		p.AntagonistCores = antag
 		ps = append(ps, p)
 	}
-	rs, err := core.RunMany(ps)
+	rs, err := core.RunMany(nil, ps, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

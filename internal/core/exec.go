@@ -6,7 +6,6 @@ import (
 
 	"hic/internal/fluid"
 	"hic/internal/host"
-	"hic/internal/obs"
 	"hic/internal/runcache"
 	"hic/internal/runner"
 )
@@ -15,6 +14,10 @@ import (
 // (nil, or DES{}) is full packet-level simulation; internal/fidelity
 // provides a router that substitutes the calibrated fluid model where
 // it is sound and adds steady-state early termination to DES points.
+// RunOnVia is the one funnel that executes a plan: it keys the plan's
+// result by (version, Params.Canonical) in the run cache or a
+// batch-local singleflight, and RunMany fans it out over the worker
+// pool.
 //
 // Plan must be deterministic for a given Params and must return the
 // cache version salt the chosen execution's result is stored under:
@@ -58,31 +61,16 @@ func (e *EarlyStop) Version() string {
 
 func (e *EarlyStop) Plan(p Params) (string, func(*runner.Arena) (Results, error), error) {
 	return e.Version(), func(a *runner.Arena) (Results, error) {
-		r, stopped, err := RunAdaptiveOn(p, a, e.Rule)
+		s, err := Start(p, a)
+		if err != nil {
+			return Results{}, err
+		}
+		r, stopped := s.Run(e.Rule)
 		if stopped {
 			e.Stopped.Add(1)
-			if s := obs.Default(); s != nil {
-				s.Emit(obs.Event{Kind: obs.KindEarlyStop, Key: p.Canonical()})
-			}
 		}
-		return r, err
+		return r, nil
 	}, nil
-}
-
-// RunAdaptiveOn is RunOn under a steady-state stopping rule; the
-// boolean reports whether the window was terminated early. The rule's
-// window is fitted to the scenario's measure (host.StopRule.Fit) so
-// short fleet windows still stop early; the fit is deterministic per
-// Params, so the EarlyStop version salt (which records the configured
-// rule) still uniquely describes each point's behavior.
-func RunAdaptiveOn(p Params, a *runner.Arena, rule host.StopRule) (Results, bool, error) {
-	p.normalizeWindows()
-	tb, err := p.BuildOn(a)
-	if err != nil {
-		return Results{}, false, err
-	}
-	r, stopped := tb.RunAdaptive(p.Warmup, p.Measure, rule.Fit(p.Measure))
-	return r, stopped, nil
 }
 
 // FluidVersion salts cache entries produced by the fluid solver (via
@@ -129,12 +117,16 @@ func PlanVia(exec Executor, p Params) (string, func(*runner.Arena) (Results, err
 	return exec.Plan(p)
 }
 
-// runVia is runCachedOn with an executor deciding strategy and cache
-// salt per point. A nil executor is the pure-DES path, byte-identical
-// to the pre-fidelity funnel.
-func runVia(exec Executor, p Params, cache *runcache.Store, flight *runcache.Flight, a *runner.Arena) (Results, error) {
+// RunOnVia executes one scenario through exec (nil means DES{}) on a
+// caller-managed arena. It is the single funnel from a plan to a
+// result: with a store, the plan's result is looked up or computed
+// under runcache.Key(version, canonical) (the store's own singleflight
+// collapses concurrent duplicates); store-less, the optional
+// batch-local flight collapses them; with neither, the plan runs
+// directly. Any of exec, cache, flight and a may be nil.
+func RunOnVia(exec Executor, p Params, cache *runcache.Store, flight *runcache.Flight, a *runner.Arena) (Results, error) {
 	if exec == nil {
-		return runCachedOn(p, cache, flight, a)
+		exec = DES{}
 	}
 	p.normalizeWindows()
 	version, run, err := exec.Plan(p)
@@ -153,32 +145,20 @@ func runVia(exec Executor, p Params, cache *runcache.Store, flight *runcache.Fli
 	return flight.Do(key, compute)
 }
 
-// RunVia executes one scenario through the executor and (optional)
-// cache. A nil executor degrades to RunCached.
-func RunVia(exec Executor, p Params, cache *runcache.Store) (Results, error) {
-	return runVia(exec, p, cache, nil, nil)
-}
-
-// RunOnVia is RunVia on a caller-managed arena with an optional
-// batch-local singleflight — the building block streaming drivers
-// (internal/cluster) use to route points while keeping their own
-// dedup accounting. flight is consulted only when cache is nil.
-func RunOnVia(exec Executor, p Params, cache *runcache.Store, flight *runcache.Flight, a *runner.Arena) (Results, error) {
-	return runVia(exec, p, cache, flight, a)
-}
-
-// RunManyVia is RunMany with an executor routing each point. Results
-// come back in input order; duplicate Params still collapse to one
-// execution, but only within the same cache version (a fluid-routed
-// point can never satisfy a DES-routed one).
-func RunManyVia(exec Executor, ps []Params, cache *runcache.Store) ([]Results, error) {
+// RunMany executes scenarios through exec (nil means DES{}) on the
+// shared worker pool and returns results in input order. Duplicate
+// Params collapse to one execution — through the store when cache is
+// non-nil, through a batch-local singleflight otherwise — but only
+// within the same cache version (a fluid-routed point can never satisfy
+// a DES-routed one). The first error aborts the batch.
+func RunMany(exec Executor, ps []Params, cache *runcache.Store) ([]Results, error) {
 	results := make([]Results, len(ps))
 	var flight *runcache.Flight
 	if cache == nil {
 		flight = runcache.NewFlight(true)
 	}
 	err := runner.Shared().Map(len(ps), func(i int, a *runner.Arena) error {
-		r, err := runVia(exec, ps[i], cache, flight, a)
+		r, err := RunOnVia(exec, ps[i], cache, flight, a)
 		if err != nil {
 			return err
 		}
@@ -191,14 +171,16 @@ func RunManyVia(exec Executor, ps []Params, cache *runcache.Store) ([]Results, e
 	return results, nil
 }
 
-// RunEachVia is RunEach with an executor routing each point.
-func RunEachVia(exec Executor, ps []Params, cache *runcache.Store, emit func(i int, r Results) error) error {
-	var flight *runcache.Flight
-	if cache == nil {
-		flight = runcache.NewFlight(true)
+// Replicas returns n copies of p (at least one) with derived seeds, for
+// mean±CI reporting across seed noise: RunMany(nil, Replicas(p, n), c).
+func Replicas(p Params, n int) []Params {
+	if n < 1 {
+		n = 1
 	}
-	return runner.MapOrdered(runner.Shared(), len(ps),
-		func(i int, a *runner.Arena) (Results, error) {
-			return runVia(exec, ps[i], cache, flight, a)
-		}, emit)
+	ps := make([]Params, n)
+	for i := range ps {
+		ps[i] = p
+		ps[i].Seed = p.Seed + uint64(i)*0x9e3779b97f4a7c15
+	}
+	return ps
 }

@@ -9,38 +9,6 @@ import (
 	"hic/internal/sim"
 )
 
-// TestGoldenDeterminismViaDESRouter proves the fidelity layer is
-// invisible when disabled: routing the golden scenarios through a
-// ModeDES router (the -fidelity=des CLI path) reproduces the exact
-// pre-fidelity hashes pinned in determinism_test.go.
-func TestGoldenDeterminismViaDESRouter(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden runs take a few seconds")
-	}
-	router, err := fidelity.New(fidelity.Config{Mode: fidelity.ModeDES})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seed := range []uint64{1, 7} {
-		for _, name := range []string{"fig3", "fig6"} {
-			p := goldenParams(name, seed)
-			r, err := core.RunVia(router, p, nil)
-			if err != nil {
-				t.Fatalf("%s seed=%d: %v", name, seed, err)
-			}
-			key := name + "/seed=" + map[uint64]string{1: "1", 7: "7"}[seed]
-			if got := resultHash(r); got != goldenHashes[key] {
-				t.Errorf("DES router: %s results hash = %s, want %s (router not transparent)",
-					key, got, goldenHashes[key])
-			}
-		}
-	}
-	c := router.Counters()
-	if c.FluidRouted != 0 || c.EarlyStopped != 0 {
-		t.Errorf("ModeDES router took an approximate path: %+v", c)
-	}
-}
-
 // TestFluidAndDESNeverShareCacheEntry pins the cache-salt separation the
 // runcache package documents: a fluid-computed result stored in a cache
 // directory can never satisfy a pure-DES lookup for the same Params.
@@ -70,14 +38,14 @@ func TestFluidAndDESNeverShareCacheEntry(t *testing.T) {
 	if runcache.Key(version, p.Canonical()) == p.CacheKey() {
 		t.Fatal("fluid version salt produced the pure-DES cache key")
 	}
-	if _, err := core.RunVia(router, p, store); err != nil {
+	if _, err := core.RunOnVia(router, p, store, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := store.Stats(); st.Misses != 1 {
 		t.Fatalf("fluid run: misses=%d, want 1", st.Misses)
 	}
 
-	des, err := core.RunCached(p, store)
+	des, err := core.RunOnVia(nil, p, store, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +82,7 @@ func TestWarmAndDESNeverShareCacheEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.RunVia(r1, p, nil); err != nil {
+	if _, err := core.RunOnVia(r1, p, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -144,7 +112,7 @@ func TestWarmAndDESNeverShareCacheEntry(t *testing.T) {
 	if runcache.Key(version, p2.Canonical()) == p2.CacheKey() {
 		t.Fatal("warm version salt produced the pure-DES cache key")
 	}
-	if _, err := core.RunVia(r2, p2, store); err != nil {
+	if _, err := core.RunOnVia(r2, p2, store, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := store.Stats(); st.Misses != 1 {
@@ -152,7 +120,7 @@ func TestWarmAndDESNeverShareCacheEntry(t *testing.T) {
 	}
 
 	// A pure-DES lookup of the same Params must not see the warm entry.
-	if _, err := core.RunCached(p2, store); err != nil {
+	if _, err := core.RunOnVia(nil, p2, store, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := store.Stats()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hic/internal/core"
+	"hic/internal/host"
 	"hic/internal/observatory"
 )
 
@@ -16,10 +17,13 @@ import (
 func TestObservatoryPassiveOnGoldens(t *testing.T) {
 	for _, seed := range []uint64{1, 7} {
 		for _, name := range []string{"fig3", "fig6"} {
-			r, rep, err := core.RunObserved(goldenParams(name, seed), observatory.DefaultConfig())
+			s, err := core.Start(goldenParams(name, seed), nil)
 			if err != nil {
 				t.Fatalf("%s seed=%d: %v", name, seed, err)
 			}
+			mon := observatory.Attach(s.Testbed, observatory.DefaultConfig())
+			r, _ := s.Run(host.StopRule{})
+			rep := mon.Report()
 			key := fmt.Sprintf("%s/seed=%d", name, seed)
 			if got := resultHash(r); got != goldenHashes[key] {
 				t.Errorf("%s with observatory hashes %s, want %s (sampling is not passive)",

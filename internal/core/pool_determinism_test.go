@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hic/internal/core"
+	"hic/internal/fidelity"
 	"hic/internal/runcache"
 )
 
@@ -32,7 +33,7 @@ func TestPooledGoldenDeterminism(t *testing.T) {
 		}
 	}
 	for pass := 0; pass < 2; pass++ {
-		rs, err := core.RunMany(ps)
+		rs, err := core.RunMany(nil, ps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,85 +46,113 @@ func TestPooledGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunEachMatchesRunMany proves the streaming path emits exactly the
-// RunMany results, in order.
-func TestRunEachMatchesRunMany(t *testing.T) {
+// TestRunManyFunnel drives the batch funnel with every pure-DES
+// executor — nil, DES{} and a ModeDES router (the -fidelity=des CLI
+// path) — store-less and through a disk store (cold, then a fresh store
+// on the same directory). Every case must reproduce the golden hashes,
+// key its results exactly like no executor at all, collapse the
+// duplicate input, and cost one simulation per distinct scenario cold
+// and none on the hit pass.
+func TestRunManyFunnel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden runs take a few seconds")
 	}
-	ps := []core.Params{
-		goldenParams("fig3", 1),
-		goldenParams("fig6", 1),
-		goldenParams("fig3", 1), // duplicate — exercises dedup in the stream
-	}
-	want, err := core.RunMany(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotIdx []int
-	err = core.RunEach(ps, nil, func(i int, r core.Results) error {
-		gotIdx = append(gotIdx, i)
-		if resultHash(r) != resultHash(want[i]) {
-			t.Errorf("streamed result %d diverges from RunMany", i)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotIdx) != len(ps) {
-		t.Fatalf("emitted %d of %d", len(gotIdx), len(ps))
-	}
-	for i, v := range gotIdx {
-		if v != i {
-			t.Fatalf("emission out of order: %v", gotIdx)
+	var ps []core.Params
+	var keys []string
+	for _, seed := range []uint64{1, 7} {
+		for _, name := range []string{"fig3", "fig6"} {
+			ps = append(ps, goldenParams(name, seed))
+			keys = append(keys, fmt.Sprintf("%s/seed=%d", name, seed))
 		}
 	}
-}
+	distinct := len(ps)
+	ps = append(ps, ps[0]) // duplicate — must collapse, not simulate
+	keys = append(keys, keys[0])
 
-// TestRunManyCachedPooled drives the cached sweep path over the pool:
-// a cold batch with duplicates must cost one simulation per distinct
-// scenario, and a warm batch zero.
-func TestRunManyCachedPooled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden runs take a few seconds")
+	execs := []struct {
+		name string
+		new  func(cache *runcache.Store) core.Executor
+	}{
+		{"nil", func(*runcache.Store) core.Executor { return nil }},
+		{"des", func(*runcache.Store) core.Executor { return core.DES{} }},
+		{"router", func(cache *runcache.Store) core.Executor {
+			r, err := fidelity.New(fidelity.Config{Mode: fidelity.ModeDES, Cache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}},
 	}
-	store, err := runcache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := []core.Params{
-		goldenParams("fig3", 1),
-		goldenParams("fig3", 1),
-		goldenParams("fig3", 1),
-	}
-	rs, err := core.RunManyCached(ps, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range rs {
-		if got := resultHash(r); got != goldenHashes["fig3/seed=1"] {
-			t.Errorf("cold result %d hash = %s, want golden", i, got)
+	check := func(t *testing.T, pass string, rs []core.Results) {
+		t.Helper()
+		for i, r := range rs {
+			if got := resultHash(r); got != goldenHashes[keys[i]] {
+				t.Errorf("%s: %s (input %d) hash = %s, want %s", pass, keys[i], i, got, goldenHashes[keys[i]])
+			}
 		}
 	}
-	st := store.Stats()
-	if st.Misses != 1 {
-		t.Errorf("cold batch Misses = %d, want 1 (duplicates must not simulate)", st.Misses)
-	}
-	if st.Hits+st.Collapses != 2 {
-		t.Errorf("cold batch hits+collapses = %d+%d, want 2", st.Hits, st.Collapses)
-	}
-
-	rs2, err := core.RunManyCached(ps, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range rs2 {
-		if got := resultHash(r); got != goldenHashes["fig3/seed=1"] {
-			t.Errorf("warm result %d hash = %s, want golden", i, got)
+	for _, ex := range execs {
+		for _, disk := range []bool{false, true} {
+			ex, store := ex, "none"
+			if disk {
+				store = "disk"
+			}
+			t.Run(ex.name+"/"+store, func(t *testing.T) {
+				var cache *runcache.Store
+				if disk {
+					var err error
+					if cache, err = runcache.Open(t.TempDir()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				exec := ex.new(cache)
+				for _, p := range ps {
+					version, _, err := core.PlanVia(exec, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if runcache.Key(version, p.Canonical()) != p.CacheKey() {
+						t.Fatalf("planned version %q does not key like pure DES", version)
+					}
+				}
+				rs, err := core.RunMany(exec, ps, cache)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, "cold", rs)
+				if r, ok := exec.(*fidelity.Router); ok {
+					if c := r.Counters(); c.FluidRouted != 0 || c.EarlyStopped != 0 {
+						t.Errorf("ModeDES router took an approximate path: %+v", c)
+					}
+				}
+				if !disk {
+					return
+				}
+				st := cache.Stats()
+				if st.Misses != uint64(distinct) || st.Hits+st.Collapses != 1 {
+					t.Errorf("cold batch: misses=%d hits+collapses=%d+%d, want %d and 1 (duplicates must not simulate)",
+						st.Misses, st.Hits, st.Collapses, distinct)
+				}
+				for _, p := range ps {
+					if !cache.Contains(p.CacheKey(), core.SimVersion, p.Canonical()) {
+						t.Errorf("no store entry under the pure-DES key for %s", p.Canonical())
+					}
+				}
+				// A fresh store on the same directory (process restart
+				// analogue) must serve every point from disk.
+				warm, err := runcache.Open(cache.Dir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				rs, err = core.RunMany(ex.new(warm), ps, warm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, "hit", rs)
+				if st := warm.Stats(); st.Misses != 0 {
+					t.Errorf("hit pass simulated: %+v", st)
+				}
+			})
 		}
-	}
-	if after := store.Stats(); after.Misses != st.Misses {
-		t.Errorf("warm batch simulated: misses %d -> %d", st.Misses, after.Misses)
 	}
 }

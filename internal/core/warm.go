@@ -1,19 +1,15 @@
 package core
 
-import (
-	"hic/internal/host"
-	"hic/internal/obs"
-	"hic/internal/runner"
-	"hic/internal/sim"
-)
+import "hic/internal/sim"
 
-// Warm-start entry points: the steady-state checkpointing half of the
+// Warm-start guard windows: the steady-state checkpointing half of the
 // cross-run warm-start layer. A converged run's slow state (CC windows,
 // IOTLB working set, memory demand EWMA — see host.Snapshot) is
-// captured after a cold run and persisted by internal/fidelity; a later
-// run of a nearby scenario in the same calibration signature primes a
-// fresh testbed with that snapshot and replays only a short
-// re-convergence guard window instead of the full warmup ramp.
+// captured with Session.Testbed.Snapshot after a cold Session.Run and
+// persisted by internal/fidelity; a later run of a nearby scenario in
+// the same calibration signature calls Session.Prime with that snapshot
+// and a guard window, replaying only the short re-convergence guard
+// instead of the full warmup ramp.
 //
 // Warm-started results are approximate and must never be stored under
 // the pure-DES cache salt; internal/fidelity derives a distinct
@@ -55,65 +51,4 @@ func AlignWarmGuard(p Params, g sim.Duration) sim.Duration {
 		periods = 1
 	}
 	return periods * p.BurstPeriod
-}
-
-// RunAndSnapshotOn is RunOn plus a steady-state capture of the testbed
-// after the measurement window — the checkpoint-producing cold run.
-func RunAndSnapshotOn(p Params, a *runner.Arena) (Results, host.Snapshot, error) {
-	p.normalizeWindows()
-	tb, err := p.BuildOn(a)
-	if err != nil {
-		return Results{}, host.Snapshot{}, err
-	}
-	res := tb.Run(p.Warmup, p.Measure)
-	snap := tb.Snapshot()
-	if s := obs.Default(); s != nil {
-		s.RunMetrics(tb.Registry.Snapshot())
-	}
-	return res, snap, nil
-}
-
-// RunAdaptiveAndSnapshotOn is RunAdaptiveOn plus a steady-state capture.
-// An early-stopped run is still a valid donor: termination requires the
-// convergence test to pass, so the captured state is converged by
-// construction.
-func RunAdaptiveAndSnapshotOn(p Params, a *runner.Arena, rule host.StopRule) (Results, host.Snapshot, bool, error) {
-	p.normalizeWindows()
-	tb, err := p.BuildOn(a)
-	if err != nil {
-		return Results{}, host.Snapshot{}, false, err
-	}
-	res, stopped := tb.RunAdaptive(p.Warmup, p.Measure, rule.Fit(p.Measure))
-	return res, tb.Snapshot(), stopped, nil
-}
-
-// RunWarmOn runs p warm-started from a donor snapshot: a fresh testbed
-// is built for p, primed with snap, and run with the guard window in
-// place of the full warmup.
-func RunWarmOn(p Params, snap host.Snapshot, guard sim.Duration, a *runner.Arena) (Results, error) {
-	p.normalizeWindows()
-	tb, err := p.BuildOn(a)
-	if err != nil {
-		return Results{}, err
-	}
-	tb.Prime(snap)
-	res := tb.Run(guard, p.Measure)
-	if s := obs.Default(); s != nil {
-		s.RunMetrics(tb.Registry.Snapshot())
-	}
-	return res, nil
-}
-
-// RunWarmAdaptiveOn is RunWarmOn with steady-state early termination,
-// and additionally captures the warm run's own snapshot so a warm chain
-// keeps producing donors.
-func RunWarmAdaptiveOn(p Params, snap host.Snapshot, guard sim.Duration, a *runner.Arena, rule host.StopRule) (Results, host.Snapshot, bool, error) {
-	p.normalizeWindows()
-	tb, err := p.BuildOn(a)
-	if err != nil {
-		return Results{}, host.Snapshot{}, false, err
-	}
-	tb.Prime(snap)
-	res, stopped := tb.RunAdaptive(guard, p.Measure, rule.Fit(p.Measure))
-	return res, tb.Snapshot(), stopped, nil
 }

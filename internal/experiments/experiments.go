@@ -41,22 +41,15 @@ type Options struct {
 	Exec core.Executor
 }
 
-// replicated runs p Replicates times and returns all results.
+// replicated runs p Replicates times (pure DES) and returns all results.
 func (o Options) replicated(p core.Params) ([]core.Results, error) {
-	n := o.Replicates
-	if n < 1 {
-		n = 1
-	}
-	return core.RunReplicatedCached(p, n, o.Cache)
+	return core.RunMany(nil, core.Replicas(p, o.Replicates), o.Cache)
 }
 
-// runMany sweeps the points through the options' cache (nil ⇒ plain
-// core.RunMany). Every figure definition funnels its grid through here.
+// runMany sweeps the points through the options' executor and cache.
+// Every figure definition funnels its grid through here.
 func (o Options) runMany(ps []core.Params) ([]core.Results, error) {
-	if o.Exec != nil {
-		return core.RunManyVia(o.Exec, ps, o.Cache)
-	}
-	return core.RunManyCached(ps, o.Cache)
+	return core.RunMany(o.Exec, ps, o.Cache)
 }
 
 // pull extracts one field across replicated results.

@@ -110,22 +110,10 @@ func (r *Router) sigFor(p core.Params) *sigCalib {
 // cached under the same salt as, and are interchangeable with, any
 // DES-routed point at the same coordinates.
 func (r *Router) runAnchor(ap core.Params) (core.Results, error) {
-	version := core.SimVersion
+	version := r.desVersion()
 	compute := func() (core.Results, error) {
 		r.anchorRuns.Add(1)
-		return core.Run(ap)
-	}
-	if r.estop != nil {
-		version = r.estop.Version()
-		rule := r.estop.Rule
-		compute = func() (core.Results, error) {
-			r.anchorRuns.Add(1)
-			res, stopped, err := core.RunAdaptiveOn(ap, nil, rule)
-			if stopped {
-				r.estop.Stopped.Add(1)
-			}
-			return res, err
-		}
+		return r.runCold(ap, nil, false)
 	}
 	canonical := ap.Canonical()
 	if r.cfg.Cache != nil {

@@ -479,41 +479,9 @@ func (r *Router) desPlan(p core.Params, why string) (string, func(*runner.Arena)
 	}
 	r.logf("fidelity: DES %s ant=%d%s", sigLabel(p), p.AntagonistCores, reason(why))
 	r.emitRoute(p, "des", why)
-	version := core.SimVersion
-	var run func(*runner.Arena) (core.Results, error)
-	switch {
-	case r.warmFullOn() && r.estop != nil:
-		version = r.estop.Version()
-		run = func(a *runner.Arena) (core.Results, error) {
-			res, snap, stopped, err := core.RunAdaptiveAndSnapshotOn(p, a, r.estop.Rule)
-			if err != nil {
-				return core.Results{}, err
-			}
-			if stopped {
-				r.estop.Stopped.Add(1)
-				r.emit(obs.Event{Kind: obs.KindEarlyStop, Key: p.Canonical()})
-			}
-			r.recordCkpt(p, snap)
-			return res, nil
-		}
-	case r.warmFullOn():
-		run = func(a *runner.Arena) (core.Results, error) {
-			res, snap, err := core.RunAndSnapshotOn(p, a)
-			if err != nil {
-				return core.Results{}, err
-			}
-			r.recordCkpt(p, snap)
-			return res, nil
-		}
-	case r.estop != nil:
-		var err error
-		version, run, err = r.estop.Plan(p)
-		if err != nil {
-			return "", nil, err
-		}
-	default:
-		run = func(a *runner.Arena) (core.Results, error) { return core.RunOn(p, a) }
-	}
+	version := r.desVersion()
+	capture := r.warmFullOn()
+	run := func(a *runner.Arena) (core.Results, error) { return r.runCold(p, a, capture) }
 	if r.cfg.Cache != nil {
 		// The outer funnel resolves through the cache (whose store has
 		// its own singleflight on the same key), so no extra layer here.
@@ -529,6 +497,45 @@ func (r *Router) desPlan(p core.Params, why string) (string, func(*runner.Arena)
 			return run(a)
 		})
 	}, nil
+}
+
+// desRule is the stopping rule every DES execution of the router runs
+// under: the EarlyStop rule when configured, else the zero rule (full
+// windows).
+func (r *Router) desRule() host.StopRule {
+	if r.estop == nil {
+		return host.StopRule{}
+	}
+	return r.estop.Rule
+}
+
+// finish runs a started session under the router's DES rule. It is the
+// router's one early-stop accounting site: whichever route ran the
+// session (DES, anchor, knee probe, warm start), a stop bumps the
+// EarlyStop counter and emits exactly one KindEarlyStop event.
+func (r *Router) finish(s *core.Session, p core.Params) core.Results {
+	res, stopped := s.Run(r.desRule())
+	if stopped {
+		r.estop.Stopped.Add(1)
+		r.emit(obs.Event{Kind: obs.KindEarlyStop, Key: p.Canonical()})
+	}
+	return res
+}
+
+// runCold executes cold DES for p under the router's DES rule, donating
+// the converged snapshot to the warm store when capture is set (an
+// early-stopped run is a valid donor: termination requires the
+// convergence test to pass).
+func (r *Router) runCold(p core.Params, a *runner.Arena, capture bool) (core.Results, error) {
+	s, err := core.Start(p, a)
+	if err != nil {
+		return core.Results{}, err
+	}
+	res := r.finish(&s, p)
+	if capture {
+		r.recordCkpt(p, s.Testbed.Snapshot())
+	}
+	return res, nil
 }
 
 // desPlanAuto is desPlan, except a point that coincides exactly with an

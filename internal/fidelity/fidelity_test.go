@@ -87,7 +87,7 @@ func TestModeDESMatchesPlainRun(t *testing.T) {
 	if version != core.SimVersion {
 		t.Fatalf("ModeDES version = %q, want %q", version, core.SimVersion)
 	}
-	got, err := core.RunVia(r, p, nil)
+	got, err := core.RunOnVia(r, p, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -247,15 +247,18 @@ func (r *Router) warmPlan(p core.Params, why string) (version string, run func(*
 		r.logf("fidelity: warm-audit %s ant=%d seed=%d (donor %d:%d)", sigLabel(p), p.AntagonistCores, p.Seed, donor.Ant, donor.Seed)
 		r.emitRoute(p, "warm-audit", why)
 		audit := func(a *runner.Arena) (core.Results, error) {
-			des, err := r.runColdCaptured(p, a)
+			r.desRouted.Add(1)
+			des, err := r.runCold(p, a, true)
 			if err != nil {
 				return core.Results{}, err
 			}
-			warm, werr := core.RunWarmOn(p, donor.Snap, guard, a)
+			s, werr := core.Start(p, a)
 			if werr != nil {
 				r.logf("fidelity: warm-audit shadow failed: %v", werr)
 				return des, nil
 			}
+			s.Prime(donor.Snap, guard)
+			warm, _ := s.Run(host.StopRule{})
 			e := observedError(warm, des)
 			r.warmAudited.Add(1)
 			r.warmAuditMaxErr.Max(e)
@@ -293,44 +296,18 @@ func (r *Router) warmPlan(p core.Params, why string) (version string, run func(*
 			Point: p.AntagonistCores,
 			Why:   fmt.Sprintf("donor %d:%d", donor.Ant, donor.Seed),
 		})
-		if r.estop != nil {
-			res, _, stopped, err := core.RunWarmAdaptiveOn(p, donor.Snap, guard, a, r.estop.Rule)
-			if stopped {
-				r.estop.Stopped.Add(1)
-			}
-			return res, err
-		}
-		return core.RunWarmOn(p, donor.Snap, guard, a)
-	}
-	return version, r.funnelCounted(version, canonical, warmRun), true, nil
-}
-
-// runColdCaptured executes authoritative cold DES for p (early-stopped
-// when configured), donating the converged snapshot, with the same
-// counter accounting as a plain DES route.
-func (r *Router) runColdCaptured(p core.Params, a *runner.Arena) (core.Results, error) {
-	r.desRouted.Add(1)
-	if r.estop != nil {
-		res, snap, stopped, err := core.RunAdaptiveAndSnapshotOn(p, a, r.estop.Rule)
+		s, err := core.Start(p, a)
 		if err != nil {
 			return core.Results{}, err
 		}
-		if stopped {
-			r.estop.Stopped.Add(1)
-		}
-		r.recordCkpt(p, snap)
-		return res, nil
+		s.Prime(donor.Snap, guard)
+		return r.finish(&s, p), nil
 	}
-	res, snap, err := core.RunAndSnapshotOn(p, a)
-	if err != nil {
-		return core.Results{}, err
-	}
-	r.recordCkpt(p, snap)
-	return res, nil
+	return version, r.funnel(version, canonical, warmRun), true, nil
 }
 
 // funnel wraps run in the router's singleflight when no result cache is
-// configured (with one, the outer core.RunVia funnel already collapses
+// configured (with one, the outer core.RunOnVia funnel already collapses
 // through the store).
 func (r *Router) funnel(version, canonical string, run func(*runner.Arena) (core.Results, error)) func(*runner.Arena) (core.Results, error) {
 	if r.cfg.Cache != nil {
@@ -340,11 +317,4 @@ func (r *Router) funnel(version, canonical string, run func(*runner.Arena) (core
 	return func(a *runner.Arena) (core.Results, error) {
 		return r.flight.Do(key, func() (core.Results, error) { return run(a) })
 	}
-}
-
-// funnelCounted is funnel for runs that do their own counting inside
-// the closure — identical today, but kept separate so the counting
-// contract at each call site is explicit.
-func (r *Router) funnelCounted(version, canonical string, run func(*runner.Arena) (core.Results, error)) func(*runner.Arena) (core.Results, error) {
-	return r.funnel(version, canonical, run)
 }

@@ -3,10 +3,12 @@ package fidelity
 import (
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hic/internal/core"
 	"hic/internal/host"
+	"hic/internal/obs"
 	"hic/internal/runcache"
 	"hic/internal/sim"
 )
@@ -314,5 +316,59 @@ func TestWarmEligibilityExcludesBursty(t *testing.T) {
 	s.mu.Unlock()
 	if _, _, ok, perr := r.warmPlan(p, ""); perr != nil || ok {
 		t.Fatalf("warmPlan on a bursty point: ok=%v err=%v", ok, perr)
+	}
+}
+
+// stopSink counts the KindEarlyStop events a router emits.
+type stopSink struct{ stops atomic.Uint64 }
+
+func (s *stopSink) Emit(e obs.Event) {
+	if e.Kind == obs.KindEarlyStop {
+		s.stops.Add(1)
+	}
+}
+func (s *stopSink) StartRun(string, int64, ...string) *obs.Run { return nil }
+func (s *stopSink) RunMetrics(obs.Snapshot)                    {}
+
+// TestEarlyStopEventPerStop: whichever route stops a run early — a
+// calibration anchor, a cold DES point donating a checkpoint, a warm
+// audit's cold run or a warm start — the router emits exactly one
+// KindEarlyStop event on its sink per counted stop.
+func TestEarlyStopEventPerStop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs DES")
+	}
+	dir := t.TempDir()
+	var fleet []core.Params
+	for _, seed := range []uint64{1, 2} {
+		for _, ant := range []int{0, 8, 15} {
+			p := core.DefaultParams(12)
+			p.AntagonistCores = ant
+			p.Seed = seed
+			p.Warmup, p.Measure = 4*sim.Millisecond, 8*sim.Millisecond
+			fleet = append(fleet, p)
+		}
+	}
+	// An auto router runs early-stopped calibration anchors; a DES
+	// router then runs the fleet cold, donating checkpoints; a second
+	// DES router on the same warm store warm-starts (and warm-audits)
+	// from them.
+	for i, mode := range []Mode{ModeAuto, ModeDES, ModeDES} {
+		sink := &stopSink{}
+		r := mustRouter(t, Config{Mode: mode, EarlyStop: true, Warm: WarmFull,
+			WarmStore: openStore(t, dir), WarmAuditRate: 0.3, Sink: sink})
+		if _, err := core.RunMany(r, fleet, nil); err != nil {
+			t.Fatal(err)
+		}
+		c := r.Counters()
+		if c.EarlyStopped == 0 {
+			t.Fatalf("router %d (%s): no run stopped early", i, mode)
+		}
+		if i == 2 && (c.WarmStarted == 0 || c.WarmAudited == 0) {
+			t.Fatalf("router %d: no warm start or warm audit ran: %+v", i, c)
+		}
+		if got := sink.stops.Load(); got != c.EarlyStopped {
+			t.Errorf("router %d (%s): %d early-stop events, want one per counted stop (%d)", i, mode, got, c.EarlyStopped)
+		}
 	}
 }

@@ -6,10 +6,23 @@ import (
 	"testing"
 
 	"hic/internal/core"
+	"hic/internal/host"
 	"hic/internal/observatory"
 	"hic/internal/sim"
 	"hic/internal/telemetry"
 )
+
+// runObserved runs p with the observatory attached and returns the
+// run's results and incident report.
+func runObserved(p core.Params, ocfg observatory.Config) (core.Results, *observatory.HostReport, error) {
+	s, err := core.Start(p, nil)
+	if err != nil {
+		return core.Results{}, nil, err
+	}
+	mon := observatory.Attach(s.Testbed, ocfg)
+	res, _ := s.Run(host.StopRule{})
+	return res, mon.Report(), nil
+}
 
 // fig6Params is the paper's Figure 6 memory-antagonist point with short
 // windows (the same scenario the core golden-hash tests pin).
@@ -25,7 +38,7 @@ func TestMonitorRingWrap(t *testing.T) {
 	p := core.DefaultParams(8)
 	p.Warmup, p.Measure = 1*sim.Millisecond, 3*sim.Millisecond
 	ocfg := observatory.Config{RingCap: 16}
-	_, rep, err := core.RunObserved(p, ocfg)
+	_, rep, err := runObserved(p, ocfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +59,7 @@ func TestMonitorRingWrap(t *testing.T) {
 
 func TestObservedDeterministic(t *testing.T) {
 	run := func() *observatory.HostReport {
-		_, rep, err := core.RunObserved(fig6Params(1), observatory.DefaultConfig())
+		_, rep, err := runObserved(fig6Params(1), observatory.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,10 +78,12 @@ func TestObservedDeterministic(t *testing.T) {
 func TestFig6AttributionMatchesLedger(t *testing.T) {
 	p := fig6Params(1)
 
-	_, run, err := core.RunInstrumented(p, 0.01)
+	s, err := core.Start(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := s.Testbed.EnableSpans(0.01)
+	s.Run(host.StopRule{})
 	if total := run.Drops.Total(); total == 0 {
 		t.Fatal("fig6 point produced no drops — scenario no longer stresses the memory bus")
 	}
@@ -77,7 +92,7 @@ func TestFig6AttributionMatchesLedger(t *testing.T) {
 		t.Errorf("drop ledger memory-bus share = %.2f, want >= 0.9", ledgerShare)
 	}
 
-	_, rep, err := core.RunObserved(p, observatory.DefaultConfig())
+	_, rep, err := runObserved(p, observatory.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +162,7 @@ func TestDefaultConfigDefaults(t *testing.T) {
 func TestWriteTimeline(t *testing.T) {
 	p := core.DefaultParams(8)
 	p.Warmup, p.Measure = 1*sim.Millisecond, 2*sim.Millisecond
-	_, rep, err := core.RunObserved(p, observatory.Config{})
+	_, rep, err := runObserved(p, observatory.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,10 +21,10 @@ import (
 //   - memo (optional): completed results are kept in-process so later
 //     duplicates skip simulation entirely. Callers fronted by a Store
 //     disable the memo — the store's write-through memory layer already
-//     provides it — while store-less callers (plain RunMany, fleet runs
-//     without -cache) enable it. Memo size is O(distinct keys), which
-//     for fleet workloads is the archetype-catalog size, not the host
-//     count.
+//     provides it — while store-less callers (store-less
+//     core.RunMany, fleet runs without -cache) enable it. Memo size is
+//     O(distinct keys), which for fleet workloads is the
+//     archetype-catalog size, not the host count.
 //
 // Errors are returned to every caller that waited on the computation but
 // are never memoized: a later Do for the same key recomputes.

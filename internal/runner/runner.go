@@ -1,8 +1,8 @@
 // Package runner is the fleet-scale execution layer: a shared, bounded
 // worker pool whose workers own reusable simulation arenas. Every
-// many-run entry point in the repository — core.RunMany and friends,
-// sweep grids, cluster fleets, the figure harness — funnels its fan-out
-// through this pool instead of spawning one goroutine per point.
+// many-run entry point in the repository — core.RunMany, sweep grids,
+// cluster fleets, the figure harness — funnels its fan-out through this
+// pool instead of spawning one goroutine per point.
 //
 // Two properties make 100k-host fleets tractable on a laptop:
 //

@@ -13,6 +13,7 @@ import (
 
 	"hic/internal/asciiplot"
 	"hic/internal/core"
+	"hic/internal/host"
 	"hic/internal/obs"
 	"hic/internal/observatory"
 	"hic/internal/runcache"
@@ -144,22 +145,18 @@ func points(spec Spec) ([][]float64, []core.Params) {
 	return coords, ps
 }
 
-// Run executes the cross product. Points run in parallel via
+// Run executes the cross product through exec (nil means pure DES; see
+// core.Executor and internal/fidelity) and an optional content-addressed
+// result cache: grid points whose Params ran before under the same
+// version replay from the store, so editing one axis of a big sweep
+// recomputes only the new points. Points run in parallel via
 // core.RunMany; rows come back in axis order (last axis fastest).
-func Run(spec Spec) ([]Row, error) {
-	return RunCached(spec, nil)
-}
-
-// RunCached is Run with a content-addressed result cache: grid points
-// whose Params were simulated before (same SimVersion) replay from the
-// store, so editing one axis of a big sweep recomputes only the new
-// points. A nil cache degrades to Run.
-func RunCached(spec Spec, cache *runcache.Store) ([]Row, error) {
+func Run(spec Spec, exec core.Executor, cache *runcache.Store) ([]Row, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	coords, ps := points(spec)
-	rs, err := core.RunManyCached(ps, cache)
+	rs, err := core.RunMany(exec, ps, cache)
 	if err != nil {
 		return nil, err
 	}
@@ -170,76 +167,21 @@ func RunCached(spec Spec, cache *runcache.Store) ([]Row, error) {
 	return rows, nil
 }
 
-// RunCachedVia is RunCached with an executor routing each grid point
-// (see core.Executor and internal/fidelity). A nil executor degrades to
-// RunCached.
-func RunCachedVia(spec Spec, exec core.Executor, cache *runcache.Store) ([]Row, error) {
-	if exec == nil {
-		return RunCached(spec, cache)
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	coords, ps := points(spec)
-	rs, err := core.RunManyVia(exec, ps, cache)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Row, len(coords))
-	for i := range coords {
-		rows[i] = Row{Coords: coords[i], Results: rs[i]}
-	}
-	return rows, nil
-}
-
-// RunStream executes the cross product and hands each Row to emit in
-// axis order (last axis fastest) without holding the full row slice —
-// the path hicsweep uses to write CSV/JSONL with memory bounded by the
-// worker count rather than the grid size. A non-nil emit error aborts
-// the sweep.
-func RunStream(spec Spec, cache *runcache.Store, emit func(Row) error) error {
-	return RunStreamVia(spec, nil, cache, emit)
-}
-
-// RunStreamVia is RunStream with an executor routing each grid point
-// (see core.Executor and internal/fidelity). A nil executor is
-// byte-identical to RunStream.
-func RunStreamVia(spec Spec, exec core.Executor, cache *runcache.Store, emit func(Row) error) error {
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-	coords, ps := points(spec)
-	var orun *obs.Run // nil-safe
-	if s := obs.Default(); s != nil {
-		orun = s.StartRun("sweep", int64(len(ps)))
-		defer orun.Finish()
-	}
-	return core.RunEachVia(exec, ps, cache, func(i int, r core.Results) error {
-		orun.Advance(1)
-		return emit(Row{Coords: coords[i], Results: r})
-	})
-}
-
-// RunDetailed is Run with per-point pipeline telemetry: every grid point
-// executes with span sampling at spanRate and its Row carries the
-// telemetry summary (per-stage latency breakdown + drop attribution).
-// Points run on the shared worker pool like Run; each point's spans stay
+// RunDetailed runs every grid point with per-point pipeline telemetry:
+// span sampling at spanRate, with the Row carrying the telemetry
+// summary (per-stage latency breakdown + drop attribution). Points run
+// on the shared worker pool like Run; each point's spans stay
 // deterministic because sampling draws from that point's own
 // engine-forked RNG.
-func RunDetailed(spec Spec, spanRate float64) ([]Row, error) {
-	return RunDetailedVia(spec, nil, spanRate)
-}
-
-// RunDetailedVia is RunDetailed with an executor routing each grid
-// point. Points the executor routes to the fluid solver carry no span
-// telemetry — the analytical model has no packet path to instrument —
-// so their rows return the fluid result with TelemetrySkippedFluid set
-// and a nil Telemetry, instead of silently emitting empty span records.
+//
+// exec (nil means pure DES) decides only which points the fluid solver
+// serves: the analytical model has no packet path to instrument, so
+// those rows return the fluid result with TelemetrySkippedFluid set and
+// a nil Telemetry, instead of silently emitting empty span records.
 // DES-routed points (including ones an early-stop rule would truncate)
 // run full-window instrumented DES: telemetry sweeps exist to inspect
 // the packet path, so the measurement window is never cut short here.
-// A nil executor instruments every point.
-func RunDetailedVia(spec Spec, exec core.Executor, spanRate float64) ([]Row, error) {
+func RunDetailed(spec Spec, exec core.Executor, spanRate float64) ([]Row, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -252,26 +194,26 @@ func RunDetailedVia(spec Spec, exec core.Executor, spanRate float64) ([]Row, err
 	}
 	err := runner.Shared().Map(len(ps), func(i int, a *runner.Arena) error {
 		defer orun.Advance(1)
-		if exec != nil {
-			version, run, err := core.PlanVia(exec, ps[i])
-			if err != nil {
-				return err
-			}
-			if strings.HasPrefix(version, core.FluidVersion) {
-				res, err := run(a)
-				if err != nil {
-					return err
-				}
-				rows[i] = Row{Coords: coords[i], Results: res, TelemetrySkippedFluid: true}
-				return nil
-			}
-		}
-		res, run, err := core.RunInstrumentedOn(ps[i], spanRate, a)
+		version, run, err := core.PlanVia(exec, ps[i])
 		if err != nil {
 			return err
 		}
-		s := run.Summary()
-		rows[i] = Row{Coords: coords[i], Results: res, Telemetry: &s}
+		if strings.HasPrefix(version, core.FluidVersion) {
+			res, err := run(a)
+			if err != nil {
+				return err
+			}
+			rows[i] = Row{Coords: coords[i], Results: res, TelemetrySkippedFluid: true}
+			return nil
+		}
+		sess, err := core.Start(ps[i], a)
+		if err != nil {
+			return err
+		}
+		spans := sess.Testbed.EnableSpans(spanRate)
+		res, _ := sess.Run(host.StopRule{})
+		sum := spans.Summary()
+		rows[i] = Row{Coords: coords[i], Results: res, Telemetry: &sum}
 		return nil
 	})
 	if err != nil {
@@ -299,10 +241,13 @@ func RunObserved(spec Spec, ocfg observatory.Config) ([]Row, error) {
 	}
 	err := runner.Shared().Map(len(ps), func(i int, a *runner.Arena) error {
 		defer orun.Advance(1)
-		res, rep, err := core.RunObservedOn(ps[i], ocfg, a)
+		sess, err := core.Start(ps[i], a)
 		if err != nil {
 			return err
 		}
+		mon := observatory.Attach(sess.Testbed, ocfg)
+		res, _ := sess.Run(host.StopRule{})
+		rep := mon.Report()
 		for j := range rep.Episodes {
 			rep.Episodes[j].Host = i
 		}

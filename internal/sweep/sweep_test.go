@@ -66,7 +66,7 @@ func TestRunCrossProductOrder(t *testing.T) {
 			{Param: "iommu", Values: []float64{1, 0}},
 		},
 	}
-	rows, err := Run(spec)
+	rows, err := Run(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestCSVAndTable(t *testing.T) {
 		Base: quickBase(),
 		Axes: []Axis{{Param: "threads", Values: []float64{2}}},
 	}
-	rows, err := Run(spec)
+	rows, err := Run(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestRunDetailedTelemetry(t *testing.T) {
 		Base: quickBase(),
 		Axes: []Axis{{Param: "antagonists", Values: []float64{0, 8}}},
 	}
-	rows, err := RunDetailed(spec, 0.05)
+	rows, err := RunDetailed(spec, nil, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestRunLeavesTelemetryNil(t *testing.T) {
 		Base: quickBase(),
 		Axes: []Axis{{Param: "threads", Values: []float64{2}}},
 	}
-	rows, err := Run(spec)
+	rows, err := Run(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestRunLeavesTelemetryNil(t *testing.T) {
 
 // fluidForZeroAntagonists routes antagonist-free points to a fake fluid
 // plan (FluidVersion-salted, canned results) and everything else to
-// pure DES — the shape RunDetailedVia must recognize and skip.
+// pure DES — the shape RunDetailed must recognize and skip.
 type fluidForZeroAntagonists struct{}
 
 func (fluidForZeroAntagonists) Plan(p core.Params) (string, func(*runner.Arena) (core.Results, error), error) {
@@ -224,7 +224,7 @@ func TestRunDetailedViaSkipsFluidTelemetry(t *testing.T) {
 		Base: quickBase(),
 		Axes: []Axis{{Param: "antagonists", Values: []float64{0, 4}}},
 	}
-	rows, err := RunDetailedVia(spec, fluidForZeroAntagonists{}, 1.0)
+	rows, err := RunDetailed(spec, fluidForZeroAntagonists{}, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestRunDetailedNoExecUnchanged(t *testing.T) {
 		Base: quickBase(),
 		Axes: []Axis{{Param: "antagonists", Values: []float64{0}}},
 	}
-	rows, err := RunDetailedVia(spec, nil, 1.0)
+	rows, err := RunDetailed(spec, nil, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestRunObservedAndIncidentsJSONL(t *testing.T) {
 	spec := Spec{Base: quickBase(), Axes: []Axis{
 		{Param: "antagonists", Values: []float64{0, 8}},
 	}}
-	plain, err := Run(spec)
+	plain, err := Run(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
