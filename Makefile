@@ -29,14 +29,16 @@ check: check-tests bench-compare bench-warm bench-serve bench-cold
 # an explicit non-race pass over the allocation gates
 # (TestEngineSteadyStateZeroAllocs, TestPacketPathZeroAllocs,
 # TestTranslateZeroAllocs, TestRxDMAChainZeroAllocs,
-# TestDESPointAllocBudget, TestObservatoryDisabledZeroAlloc,
-# TestServeTraceDisabledZeroAlloc) so the allocation-free hot-path,
-# bounded-DES-point, disabled-observatory, and disabled-query-trace
-# properties are enforced by name under the plain runtime, and a 1x
-# smoke pass over the engine benchmarks so a compile break in the
-# hot-path benches fails CI. The last step vets and short-tests the
-# nested hicperf benchmark module, which the root ./... never compiles,
-# so an API break there fails CI instead of the next benchmark run.
+# TestDESPointAllocBudget, TestCanonicalAllocs,
+# TestObservatoryDisabledZeroAlloc, TestServeTraceDisabledZeroAlloc) so
+# the allocation-free hot-path, bounded-DES-point, one-allocation
+# cache-key, disabled-observatory, and disabled-query-trace properties
+# are enforced by name under the plain runtime, and a 1x smoke pass
+# over the engine, Canonical and SignatureReps benchmarks so a compile
+# break in the hot-path benches fails CI. The last step vets and
+# short-tests the nested hicperf benchmark module, which the root ./...
+# never compiles, so an API break there fails CI instead of the next
+# benchmark run.
 check-tests:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
@@ -44,10 +46,12 @@ check-tests:
 	$(GO) test -race -timeout 20m ./...
 	$(GO) test -race -count=2 ./internal/runner/ ./internal/runcache/ ./internal/observatory/
 	$(GO) test -run 'ZeroAllocs' -count=1 ./internal/sim/ ./internal/pkt/ ./internal/iommu/ ./internal/nic/
-	$(GO) test -run 'TestDESPointAllocBudget' -count=1 ./internal/core/
+	$(GO) test -run 'TestDESPointAllocBudget|TestCanonicalAllocs' -count=1 ./internal/core/
 	$(GO) test -run 'TestObservatoryDisabledZeroAlloc' -count=1 ./internal/observatory/
 	$(GO) test -run 'TestServeTraceDisabledZeroAlloc' -count=1 ./internal/serve/
 	$(GO) test -run=NONE -bench=BenchmarkEngine -benchtime=1x ./internal/sim/
+	$(GO) test -run=NONE -bench='BenchmarkCanonical$$' -benchtime=1x ./internal/core/
+	$(GO) test -run=NONE -bench='BenchmarkSignatureReps$$' -benchtime=1x ./internal/cluster/
 	cd hicperf && $(GO) vet ./... && $(GO) test -short ./...
 
 # bench-compare is the bench-regression gate: a small smoke bench (400
@@ -142,6 +146,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzSeqWindow -fuzztime 30s ./internal/transport/
 	$(GO) test -fuzz FuzzHistogram -fuzztime 30s ./internal/metrics/
+	$(GO) test -fuzz FuzzCanonical -fuzztime 30s ./internal/core/
 
 cover:
 	$(GO) test -short -cover ./internal/...

@@ -230,7 +230,10 @@ type hostDraw struct {
 }
 
 func drawHost(cfg Config, i int) hostDraw {
-	r := sim.NewRNG(mix64(cfg.Seed) + uint64(i)*0x9e3779b97f4a7c15)
+	// Not sim.NewRNG, whose generator escapes to the heap: this one
+	// stays on the stack, and SignatureReps draws every host per lease.
+	r := new(sim.RNG)
+	r.Seed(mix64(cfg.Seed) + uint64(i)*0x9e3779b97f4a7c15)
 	d := hostDraw{
 		sku:      pickIdx(r, skuWeights),
 		workload: pickIdx(r, workloadWeights),
@@ -350,17 +353,31 @@ const rosterScanCap = 65536
 // fidelity signature in the fleet, in first-occurrence order — the
 // work-list the serve coordinator shards into prefetch leases and the
 // roster calibration transfer clusters over.
+//
+// A signature clears Seed and AntagonistCores and the windows are
+// fleet-wide, so it is a function of the host's (sku, workload) cell:
+// the scan draws each host's cell and encodes a signature only for the
+// first host of a cell, at most len(skus)×len(workloads) encodings per
+// call however large the fleet. It runs per query and per lease.
 func SignatureReps(cfg Config) []int {
 	n := cfg.Hosts
 	if n > rosterScanCap {
 		n = rosterScanCap
 	}
-	seen := make(map[string]bool)
+	type cell struct{ sku, workload int }
+	cells := make(map[cell]bool)
+	sigs := make(map[string]bool)
 	var reps []int
 	for h := 0; h < n; h++ {
+		d := drawHost(cfg, h)
+		c := cell{d.sku, d.workload}
+		if cells[c] {
+			continue
+		}
+		cells[c] = true
 		p, _ := HostScenario(cfg, h)
-		if k := fidelity.SignatureKey(p); !seen[k] {
-			seen[k] = true
+		if k := fidelity.SignatureKey(p); !sigs[k] {
+			sigs[k] = true
 			reps = append(reps, h)
 		}
 	}

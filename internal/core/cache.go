@@ -1,8 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"hic/internal/runcache"
 )
@@ -20,47 +19,59 @@ const SimVersion = "hic-sim-2"
 // scenarios to one cache key.
 const ParamsFieldCount = 31
 
+// canonicalCap pre-sizes Canonical's buffer: the field names and
+// separators take 449 bytes, and typical values fit in the rest,
+// so one allocation (the returned string) is the common case.
+const canonicalCap = 640
+
 // Canonical renders every Params field into a stable, unambiguous
-// string. Field order is fixed, values are printed with %v (shortest
-// round-trip form for floats), and entries are ';'-separated with
-// explicit names so no two distinct Params can collide textually.
+// string. Field order is fixed, values are printed in fmt's %v form
+// (shortest round-trip 'g' form for floats), and entries are
+// ';'-separated with explicit names so no two distinct Params can
+// collide textually. The encoding is appended with strconv into one
+// pre-sized buffer: it keys every cache lookup and signature, so it
+// must stay cheap, and its bytes must never change (cache entries on
+// disk and golden hashes address it).
 func (p Params) Canonical() string {
-	var b strings.Builder
-	f := func(name string, v any) {
-		fmt.Fprintf(&b, "%s=%v;", name, v)
-	}
-	f("Seed", p.Seed)
-	f("Threads", p.Threads)
-	f("Senders", p.Senders)
-	f("RxRegionBytes", p.RxRegionBytes)
-	f("IOMMU", p.IOMMU)
-	f("Hugepages", p.Hugepages)
-	f("AntagonistCores", p.AntagonistCores)
-	f("CC", string(p.CC))
+	b := make([]byte, 0, canonicalCap)
+	name := func(n string) { b = append(append(b, n...), '=') }
+	u := func(n string, v uint64) { name(n); b = append(strconv.AppendUint(b, v, 10), ';') }
+	i := func(n string, v int64) { name(n); b = append(strconv.AppendInt(b, v, 10), ';') }
+	t := func(n string, v bool) { name(n); b = append(strconv.AppendBool(b, v), ';') }
+	f := func(n string, v float64) { name(n); b = append(strconv.AppendFloat(b, v, 'g', -1, 64), ';') }
+	u("Seed", p.Seed)
+	i("Threads", int64(p.Threads))
+	i("Senders", int64(p.Senders))
+	u("RxRegionBytes", p.RxRegionBytes)
+	t("IOMMU", p.IOMMU)
+	t("Hugepages", p.Hugepages)
+	i("AntagonistCores", int64(p.AntagonistCores))
+	name("CC")
+	b = append(append(b, p.CC...), ';')
 	f("FixedCwnd", p.FixedCwnd)
-	f("HostTarget", int64(p.HostTarget))
-	f("NICBufferBytes", p.NICBufferBytes)
-	f("DeviceTLBEntries", p.DeviceTLBEntries)
-	f("StrictIOMMU", p.StrictIOMMU)
+	i("HostTarget", int64(p.HostTarget))
+	i("NICBufferBytes", int64(p.NICBufferBytes))
+	i("DeviceTLBEntries", int64(p.DeviceTLBEntries))
+	t("StrictIOMMU", p.StrictIOMMU)
 	f("LinkLatencyScale", p.LinkLatencyScale)
 	f("MemoryIOReservedShare", p.MemoryIOReservedShare)
-	f("SubRTTHostECN", p.SubRTTHostECN)
-	f("FabricECNThresholdBytes", p.FabricECNThresholdBytes)
-	f("CPUCores", p.CPUCores)
-	f("InitialActiveCores", p.InitialActiveCores)
-	f("DynamicCoreScaling", p.DynamicCoreScaling)
-	f("AntagonistRemoteNUMA", p.AntagonistRemoteNUMA)
+	t("SubRTTHostECN", p.SubRTTHostECN)
+	i("FabricECNThresholdBytes", int64(p.FabricECNThresholdBytes))
+	i("CPUCores", int64(p.CPUCores))
+	i("InitialActiveCores", int64(p.InitialActiveCores))
+	t("DynamicCoreScaling", p.DynamicCoreScaling)
+	t("AntagonistRemoteNUMA", p.AntagonistRemoteNUMA)
 	f("CopyReadFraction", p.CopyReadFraction)
-	f("PerQueueNICBuffers", p.PerQueueNICBuffers)
+	t("PerQueueNICBuffers", p.PerQueueNICBuffers)
 	f("VictimConnGbps", p.VictimConnGbps)
-	f("SenderHostModel", p.SenderHostModel)
-	f("SenderAntagonistCores", p.SenderAntagonistCores)
+	t("SenderHostModel", p.SenderHostModel)
+	i("SenderAntagonistCores", int64(p.SenderAntagonistCores))
 	f("OfferedGbps", p.OfferedGbps)
 	f("BurstDuty", p.BurstDuty)
-	f("BurstPeriod", int64(p.BurstPeriod))
-	f("Warmup", int64(p.Warmup))
-	f("Measure", int64(p.Measure))
-	return b.String()
+	i("BurstPeriod", int64(p.BurstPeriod))
+	i("Warmup", int64(p.Warmup))
+	i("Measure", int64(p.Measure))
+	return string(b)
 }
 
 // CacheKey content-addresses the scenario: sha256 over the simulator

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hic/internal/core"
@@ -192,12 +193,29 @@ func TestCacheKeyDistinguishesParams(t *testing.T) {
 // TestCanonicalCoversAllParamsFields fails when a field is added to
 // Params without extending Canonical: a missing field would alias
 // distinct scenarios to the same cache entry, silently returning wrong
-// results. Update Params.Canonical and the pinned count together.
+// results. Beyond the field count it checks the encoding itself: one
+// ';'-terminated "Name=" entry per Params field, in declaration order,
+// so a field that is counted but never appended fails here too. Update
+// Params.Canonical and the pinned count together.
 func TestCanonicalCoversAllParamsFields(t *testing.T) {
-	n := reflect.TypeOf(core.Params{}).NumField()
+	typ := reflect.TypeOf(core.Params{})
+	n := typ.NumField()
 	if n != core.ParamsFieldCount {
 		t.Fatalf("Params has %d fields but Canonical covers %d — extend Canonical() "+
 			"in cache.go and bump ParamsFieldCount (and SimVersion if behavior changed)",
 			n, core.ParamsFieldCount)
+	}
+	c := core.DefaultParams(8).Canonical()
+	if !strings.HasSuffix(c, ";") {
+		t.Fatalf("Canonical() = %q: last entry is not ';'-terminated", c)
+	}
+	entries := strings.Split(strings.TrimSuffix(c, ";"), ";")
+	if len(entries) != core.ParamsFieldCount {
+		t.Fatalf("Canonical() emits %d entries, want %d: %q", len(entries), core.ParamsFieldCount, c)
+	}
+	for i, e := range entries {
+		if want := typ.Field(i).Name + "="; !strings.HasPrefix(e, want) {
+			t.Errorf("entry %d = %q, want prefix %q (declaration order)", i, e, want)
+		}
 	}
 }

@@ -264,6 +264,83 @@ func TestDuplicateCompletionRejected(t *testing.T) {
 	}
 }
 
+// TestLeasesServeOldestJobFirst pins the arrival-order rule across a
+// digit boundary: with jobs q9 and q10 pending, the first lease goes to
+// q9 and /status lists q9 first (string order would put q10 first).
+func TestLeasesServeOldestJobFirst(t *testing.T) {
+	h := newHarness(t, Options{LeaseTimeout: time.Hour})
+	post := func(path string, req, resp any) {
+		t.Helper()
+		body, _ := json.Marshal(req)
+		r, err := http.Post(h.ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Body.Close()
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %s", path, r.Status)
+		}
+		if err := json.NewDecoder(r.Body).Decode(resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Workers and queries share one id sequence: eight registrations
+	// make the next two queries q9 and q10.
+	var reg struct {
+		WorkerID string `json:"worker_id"`
+	}
+	for i := 0; i < 8; i++ {
+		post(RegisterPath, map[string]string{}, &reg)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	for _, id := range []string{"q9", "q10"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			NewClient(h.ts.URL, nil).Query(ctx, quickQuery(4), nil) //nolint:errcheck // ends on cancel
+		}()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			h.srv.mu.Lock()
+			_, ok := h.srv.jobs[id]
+			h.srv.mu.Unlock()
+			if ok {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s never queued", id)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	var lease Lease
+	post(NextPath, map[string]string{"worker_id": reg.WorkerID}, &lease)
+	if lease.Job != "q9" {
+		t.Errorf("first lease belongs to %s, want q9 (oldest job first)", lease.Job)
+	}
+	r, err := http.Get(h.ts.URL + StatusPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	var st struct {
+		Jobs []struct {
+			Job string `json:"job"`
+		} `json:"jobs"`
+	}
+	if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Jobs) != 2 || st.Jobs[0].Job != "q9" || st.Jobs[1].Job != "q10" {
+		t.Errorf("/status jobs = %+v, want [q9 q10]", st.Jobs)
+	}
+}
+
 // TestResidentStateMakesSecondQueryWarm is the serving point: the
 // second identical query is served from resident routers and the
 // shared cache — zero anchor runs, zero new simulations, identical

@@ -1,12 +1,13 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -126,6 +127,7 @@ type shardRange struct {
 // closed) whenever state the query handler waits on changes.
 type job struct {
 	id         string
+	seq        uint64 // arrival order: the numeric part of id
 	spec       QueryRequest
 	ranges     []shardRange
 	pending    []int // range ids not leased and not done, FIFO
@@ -279,6 +281,17 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"worker_id": id})
 }
 
+// jobsInOrder returns the jobs oldest first, by arrival sequence (the
+// ids' string order would put q10 before q9). Call under s.mu.
+func (s *Server) jobsInOrder() []*job {
+	js := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		js = append(js, j)
+	}
+	slices.SortFunc(js, func(a, b *job) int { return cmp.Compare(a.seq, b.seq) })
+	return js
+}
+
 func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -322,13 +335,7 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Oldest job first so queries complete in arrival order.
-	ids := make([]string, 0, len(s.jobs))
-	for id := range s.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		j := s.jobs[id]
+	for _, j := range s.jobsInOrder() {
 		if j.failed != "" {
 			continue
 		}
@@ -530,20 +537,14 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			Misses  uint64 `json:"misses"`
 		} `json:"cache"`
 	}{Workers: len(s.workers), Queries: s.queries, RangesOK: s.rangesOK}
-	ids := make([]string, 0, len(s.jobs))
-	for id := range s.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		j := s.jobs[id]
+	for _, j := range s.jobsInOrder() {
 		done := 0
 		for i := range j.ranges {
 			if j.ranges[i].done != nil {
 				done++
 			}
 		}
-		out.Jobs = append(out.Jobs, jobStatus{Job: id, Ranges: len(j.ranges), Done: done, Pending: len(j.pending)})
+		out.Jobs = append(out.Jobs, jobStatus{Job: j.id, Ranges: len(j.ranges), Done: done, Pending: len(j.pending)})
 	}
 	s.mu.Unlock()
 	cs := s.opts.Store.Stats()
@@ -577,6 +578,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.nextID++
 	j := &job{
 		id:     fmt.Sprintf("q%d", s.nextID),
+		seq:    s.nextID,
 		spec:   q,
 		ranges: splitRanges(q.Hosts, q.RangeHosts, len(s.workers)),
 		signal: make(chan struct{}, 1),
